@@ -30,6 +30,7 @@ from .calculus import (
     epsilon,
     find_seed_block,
     ones_of_order_in_interval,
+    ones_upto,
     order_decompose,
     order_shift_check,
     verify_certificate,

@@ -7,7 +7,9 @@ with i = 2^k(2j+1); the ones of order k sit in a single residue class mod
 2^{k+2} selected by the instruction bit b_k, so one-counts over any interval
 reduce to closed-form residue counting: an interval of length L contains
 floor(L / 2^{k+2}) of them plus an excess of 0 or 1. Summing excesses over
-orders gives the delta of an interval; the vector of deltas over m
+orders gives the delta of an interval; the sum over all orders collapses to
+two popcounts of masked bit patterns (`ones_upto`), and the per-order
+functions stay as the independent cross-check. The vector of deltas over m
 consecutive cells characterizes abelian powers (all components equal) and
 abelian antipowers (components pairwise distinct). The additivity law
 combines two cell geometries into one whose delta vector is the sum, which
@@ -17,6 +19,8 @@ lets arbitrarily spread vectors be assembled from a small seed block.
 from __future__ import annotations
 
 import json
+import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Iterable
@@ -74,15 +78,52 @@ def epsilon(b: InstructionSequence, k: int, bit: int, a: int, n: int) -> int:
     shift = k + 2
     count = ((n - residue) >> shift) - ((a - residue) >> shift)
     excess = count - ((n - a) >> shift)
-    assert excess in (0, 1), f"excess {excess} outside {{0,1}}: counting bug"
+    if excess not in (0, 1):
+        raise ArithmeticError(f"excess {excess} outside {{0,1}}: counting bug")
     return excess
 
 
-def delta_interval(b: InstructionSequence, a: int, n: int) -> int:
-    """Total excess of ones in (a, n) over the per-order baselines; orders
-    with 2^k > n hold no positions and contribute nothing."""
+@lru_cache(maxsize=64)
+def _instruction_masks(b: InstructionSequence, size: int) -> tuple[int, int]:
+    """Bitmasks P_b and M_b over orders 0..size-1: bit k of P_b is set when
+    b_k = +1, bit k of M_b when b_k = -1."""
+    plus = int("".join("1" if b.at(k) == 1 else "0" for k in reversed(range(size))), 2)
+    return plus, plus ^ ((1 << size) - 1)
+
+
+def _baseline(length: int) -> int:
+    """Sum over orders k of floor(length / 2^{k+2})."""
+    return length - length.bit_count() - (length >> 1)
+
+
+def ones_upto(b: InstructionSequence, n: int) -> int:
+    """Exact count of ones among positions 1..n.
+
+    The order-k ones up to n number floor((n + (2 - b_k) 2^k) / 2^{k+2}):
+    the baseline floor(n / 2^{k+2}) plus one exactly when bits k and k+1 of
+    n are both set (b_k = +1) or either is set (b_k = -1). Summed over all
+    orders this is the baseline plus two masked popcounts.
+    """
+    if n < 0:
+        raise ValueError("position must be >= 0")
+    # smallest power of two covering max(64, bit length of n): masks grow by
+    # doubling, so each sequence caches only a few sizes
+    size = 1 << max(n.bit_length() - 1, 63).bit_length()
+    plus, minus = _instruction_masks(b, size)
+    half = n >> 1
+    return _baseline(n) + (n & half & plus).bit_count() + ((n | half) & minus).bit_count()
+
+
+def _interval_ones(b: InstructionSequence, a: int, n: int) -> int:
+    """Exact one-count of (a, n)."""
     _check_interval(a, n)
-    return sum(epsilon(b, k, b.at(k), a, n) for k in range(n.bit_length()))
+    return ones_upto(b, n) - ones_upto(b, a)
+
+
+def delta_interval(b: InstructionSequence, a: int, n: int) -> int:
+    """Total excess of ones in (a, n) over the per-order baselines
+    floor((n-a) / 2^{k+2}); equals the sum of epsilon over all orders."""
+    return _interval_ones(b, a, n) - _baseline(n - a)
 
 
 @dataclass(frozen=True)
@@ -218,7 +259,8 @@ def additivity_combine(
     if check:
         lhs = delta_vector(b, l, d, m) + delta_vector(b, lp, dp, m)
         rhs = delta_vector(b, combined_l, combined_d, m)
-        assert lhs == rhs, f"additivity identity violated: {lhs} != {rhs}"
+        if lhs != rhs:
+            raise ArithmeticError(f"additivity identity violated: {lhs} != {rhs}")
     return combined_l, combined_d
 
 
@@ -286,6 +328,22 @@ def alpha_sequence(base: list[DeltaVector]) -> list[int]:
     return alphas
 
 
+@contextmanager
+def _unlimited_int_digits():
+    """Lift the interpreter's int/str conversion digit limit for the duration
+    of the block, then restore the previous value. Interpreters without the
+    limit have nothing to lift."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(previous)
+
+
 @dataclass(frozen=True)
 class AntipowerCertificate:
     """A verified abelian m-antipower occurrence: m cells of width cell_width
@@ -306,39 +364,36 @@ class AntipowerCertificate:
     verified: bool
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "instructions": str(self.instructions),
-                "m": self.m,
-                "k": self.k,
-                "u": self.u,
-                "start": str(self.start),
-                "cell_width": str(self.cell_width),
-                "cell_one_counts": [str(c) for c in self.cell_one_counts],
-                "alpha": list(self.alpha),
-                "verified": self.verified,
-            }
-        )
+        with _unlimited_int_digits():
+            return json.dumps(
+                {
+                    "instructions": str(self.instructions),
+                    "m": self.m,
+                    "k": self.k,
+                    "u": self.u,
+                    "start": str(self.start),
+                    "cell_width": str(self.cell_width),
+                    "cell_one_counts": [str(c) for c in self.cell_one_counts],
+                    "alpha": list(self.alpha),
+                    "verified": self.verified,
+                }
+            )
 
     @classmethod
     def from_json(cls, text: str) -> "AntipowerCertificate":
-        raw = json.loads(text)
-        return cls(
-            instructions=InstructionSequence.parse(raw["instructions"]),
-            m=int(raw["m"]),
-            k=int(raw["k"]),
-            u=int(raw["u"]),
-            start=int(raw["start"]),
-            cell_width=int(raw["cell_width"]),
-            cell_one_counts=tuple(int(c) for c in raw["cell_one_counts"]),
-            alpha=tuple(int(a) for a in raw["alpha"]),
-            verified=bool(raw["verified"]),
-        )
-
-
-def _interval_ones(b: InstructionSequence, a: int, n: int) -> int:
-    """Exact one-count of (a, n) as the sum over orders of the residue counts."""
-    return sum(ones_of_order_in_interval(b, k, a, n) for k in range(n.bit_length()))
+        with _unlimited_int_digits():
+            raw = json.loads(text)
+            return cls(
+                instructions=InstructionSequence.parse(raw["instructions"]),
+                m=int(raw["m"]),
+                k=int(raw["k"]),
+                u=int(raw["u"]),
+                start=int(raw["start"]),
+                cell_width=int(raw["cell_width"]),
+                cell_one_counts=tuple(int(c) for c in raw["cell_one_counts"]),
+                alpha=tuple(int(a) for a in raw["alpha"]),
+                verified=bool(raw["verified"]),
+            )
 
 
 def construct_antipower(b: InstructionSequence, m: int) -> AntipowerCertificate:
@@ -393,7 +448,7 @@ def construct_antipower(b: InstructionSequence, m: int) -> AntipowerCertificate:
 
 
 def verify_certificate(b: InstructionSequence, cert: AntipowerCertificate) -> bool:
-    """Recompute every cell one-count by residue counting and require the
+    """Recompute every cell one-count by popcount counting and require the
     stored counts to match and be pairwise distinct; cross-check each count
     against the cell-width baseline plus the cell delta."""
     start, d, m = cert.start, cert.cell_width, cert.m
@@ -402,7 +457,7 @@ def verify_certificate(b: InstructionSequence, cert: AntipowerCertificate) -> bo
         return False
     if len(set(counts)) != m:
         return False
-    baseline = sum(d >> (k + 2) for k in range(d.bit_length()))
+    baseline = _baseline(d)
     deltas = delta_vector(b, start, d, m).components
     return all(c == baseline + x for c, x in zip(counts, deltas))
 

@@ -82,7 +82,8 @@ def _build_word(word: str, instructions: InstructionSequence | None, length: int
         return sierpinski_prefix(length)
     if word == "thue-morse":
         return morphism_prefix(THUE_MORSE_MORPHISM, "0", length)
-    assert instructions is not None
+    if instructions is None:
+        raise ValueError("paperfolding requires an instruction string such as '(+)'")
     return toeplitz_paperfolding_prefix(instructions, length)
 
 

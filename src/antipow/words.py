@@ -191,10 +191,7 @@ def paperfolding_letter(b: InstructionSequence, i: int) -> int:
     k = (i & -i).bit_length() - 1
     j = ((i >> k) - 1) >> 1
     bk = b.at(k)
-    letter = 1 if (bk if j % 2 == 0 else -bk) == -1 else 0
-    # residue form of the same rule; a mismatch would be a decomposition bug
-    assert letter == (1 if (i - ((2 + bk) << k)) % (1 << (k + 2)) == 0 else 0)
-    return letter
+    return 1 if (bk if j % 2 == 0 else -bk) == -1 else 0
 
 
 def toeplitz_paperfolding_prefix(b: InstructionSequence, n: int) -> FiniteWord:

@@ -8,7 +8,14 @@ from __future__ import annotations
 
 from collections import Counter
 
+from hypothesis import settings
+
 from antipow import FiniteWord, InstructionSequence, toeplitz_paperfolding_prefix
+
+# Host speed varies too much for per-example deadlines, and fixed examples
+# keep the suite reproducible from run to run.
+settings.register_profile("antipow", deadline=None, derandomize=True, database=None)
+settings.load_profile("antipow")
 
 _PREFIX_CACHE: dict[tuple[InstructionSequence, int], FiniteWord] = {}
 

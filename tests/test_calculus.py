@@ -1,7 +1,9 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import antipow.calculus
 from antipow import (
     BlockSplit,
     DeltaVector,
@@ -20,11 +22,13 @@ from antipow import (
     epsilon,
     find_seed_block,
     ones_of_order_in_interval,
+    ones_upto,
     order_decompose,
     order_shift_check,
     paperfolding_letter,
     toeplitz_paperfolding_prefix,
 )
+from antipow.calculus import _instruction_masks, _interval_ones
 from conftest import brute_delta, brute_delta_vector, brute_ones, materialized
 
 ALT = InstructionSequence.parse("(-+)")
@@ -311,3 +315,97 @@ def test_delta_vector_of_combined_geometry_is_consistent_at_scale():
     r = choose_r(b, l1 + 2 * d1, orders)
     l2, d2 = additivity_combine(b, l1, d1, 6, 2, 2, r)
     assert delta_vector(b, l2, d2, 2) == v1 + delta_vector(b, 6, 2, 2)
+
+
+def _per_order_ones(b, a, n):
+    return sum(ones_of_order_in_interval(b, k, a, n) for k in range(n.bit_length()))
+
+
+def _per_order_delta(b, a, n):
+    return sum(epsilon(b, k, b.at(k), a, n) for k in range(n.bit_length()))
+
+
+_signs = st.sampled_from((1, -1))
+instruction_sequences = st.builds(
+    InstructionSequence,
+    st.lists(_signs, max_size=3).map(tuple),
+    st.lists(_signs, min_size=1, max_size=4).map(tuple),
+)
+
+
+@st.composite
+def big_intervals(draw, max_bits=4000):
+    """(a, n) with 0 <= a < n < 2^max_bits: long intervals and short ones far out."""
+    bits = draw(st.integers(1, max_bits))
+    n = draw(st.integers(1 << (bits - 1), (1 << bits) - 1))
+    a = draw(st.integers(0, n - 1) | st.integers(max(0, n - 4096), n - 1))
+    return a, n
+
+
+def test_ones_upto_examples_and_validation():
+    assert ones_upto(REGULAR, 0) == 0
+    assert ones_upto(REGULAR, 14) == 6  # positions 3, 6, 7, 11, 12, 14
+    assert ones_upto(ALT, 1) == 1
+    with pytest.raises(ValueError):
+        ones_upto(REGULAR, -1)
+    with pytest.raises(ValueError):
+        _interval_ones(REGULAR, 5, 5)
+
+
+@settings(max_examples=200)
+@given(b=instruction_sequences, interval=big_intervals())
+def test_closed_form_matches_per_order_sums(b, interval):
+    a, n = interval
+    assert ones_upto(b, n) == _per_order_ones(b, 0, n)
+    assert _interval_ones(b, a, n) == _per_order_ones(b, a, n)
+    assert delta_interval(b, a, n) == _per_order_delta(b, a, n)
+
+
+@given(b=instruction_sequences, data=st.data())
+def test_closed_form_matches_materialized_prefix(b, data):
+    w = materialized(b, 2**12)
+    n = data.draw(st.integers(1, 2**12))
+    a = data.draw(st.integers(0, n - 1))
+    assert ones_upto(b, n) == brute_ones(w, 0, n)
+    assert _interval_ones(b, a, n) == brute_ones(w, a, n)
+    assert delta_interval(b, a, n) == brute_delta(w, a, n)
+
+
+@pytest.mark.parametrize("text", ["(+)", "(-+)", "+-(-)", "-(+--)"])
+def test_ones_upto_every_prefix_to_4096(text):
+    b = InstructionSequence.parse(text)
+    w = materialized(b, 2**12)
+    running = 0
+    for n in range(1, 2**12 + 1):
+        running += w[n - 1]
+        assert ones_upto(b, n) == running
+
+
+def test_ones_upto_mask_growth_matches_fresh_cache():
+    b = InstructionSequence.parse("+-(-+-)")
+    rng = random.Random(61)
+    small = [rng.randint(1, 2**40) for _ in range(20)]
+    big = rng.getrandbits(10_000) | 1 << 9_999
+    _instruction_masks.cache_clear()
+    before = [ones_upto(b, n) for n in small]
+    grown = ones_upto(b, big)
+    after = [ones_upto(b, n) for n in small]
+    _instruction_masks.cache_clear()
+    fresh_big = ones_upto(b, big)
+    _instruction_masks.cache_clear()
+    fresh_small = [ones_upto(b, n) for n in small]
+    assert before == after == fresh_small
+    assert grown == fresh_big == _per_order_ones(b, 0, big)
+
+
+def test_additivity_combine_check_raises_on_identity_violation(monkeypatch):
+    real = antipow.calculus.delta_vector
+    calls = iter(range(3))
+
+    def skewed(b, l, d, m):
+        vec = real(b, l, d, m)
+        return vec + DeltaVector((1,) * m) if next(calls) == 2 else vec
+
+    monkeypatch.setattr(antipow.calculus, "delta_vector", skewed)
+    with pytest.raises(ArithmeticError, match="additivity identity"):
+        additivity_combine(REGULAR, 0, 2, 0, 2, 2, 4, check=True)

@@ -1,8 +1,10 @@
 import json
+import sys
 
 import pytest
 
-from antipow.cli import main
+from antipow import AntipowerCertificate, verify_certificate
+from antipow.cli import _build_word, main
 
 REGULAR_32 = "00100110001101100010011100110110"
 
@@ -143,6 +145,23 @@ def test_construct_verified(capsys):
 def test_construct_preperiodic_sequence(capsys):
     code, out, _ = run(capsys, "construct", "--instructions", "(-+)", "--order", "3")
     assert code == 0 and json.loads(out)["verified"] is True
+
+
+def test_construct_order_eight_prints_and_round_trips(capsys):
+    limit = sys.get_int_max_str_digits()
+    code, out, _ = run(capsys, "construct", "--instructions=(+)", "--order", "8")
+    assert code == 0
+    assert sys.get_int_max_str_digits() == limit
+    cert = AntipowerCertificate.from_json(out)
+    assert sys.get_int_max_str_digits() == limit
+    assert cert.verified and cert.m == 8 and cert.start.bit_length() == 19_679
+    assert verify_certificate(cert.instructions, cert)
+    assert cert.to_json() + "\n" == out
+
+
+def test_build_word_paperfolding_needs_instructions():
+    with pytest.raises(ValueError, match="instruction string"):
+        _build_word("paperfolding", None, 8)
 
 
 def test_construct_rejects_order_one(capsys):

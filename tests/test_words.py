@@ -193,3 +193,26 @@ def test_random_instruction_sequences_oracle_consistency():
         n = 2**9
         w = toeplitz_paperfolding_prefix(b, n)
         assert all(paperfolding_letter(b, i + 1) == w[i] for i in range(n))
+
+
+def _residue_form_letter(b: InstructionSequence, i: int) -> int:
+    """The letter rule restated: position i of order k is a one exactly when
+    i = (2 + b_k) 2^k mod 2^{k+2}."""
+    k = (i & -i).bit_length() - 1
+    return 1 if (i - ((2 + b.at(k)) << k)) % (1 << (k + 2)) == 0 else 0
+
+
+@pytest.mark.parametrize("text", ["(+)", "(-+)", "+-(-)", "(--+)", "-(+--)", "++(-+-)"])
+def test_letter_oracle_matches_residue_form(text):
+    b = InstructionSequence.parse(text)
+    assert all(
+        paperfolding_letter(b, i) == _residue_form_letter(b, i) for i in range(1, 2**14 + 1)
+    )
+    rng = random.Random(41)
+    for _ in range(300):
+        bits = rng.randint(1, 4096)
+        dense = rng.getrandbits(bits) | 1 << (bits - 1)
+        order = rng.randrange(bits)
+        sparse = (rng.getrandbits(bits - order) | 1) << order
+        for i in (dense, sparse):
+            assert paperfolding_letter(b, i) == _residue_form_letter(b, i)
