@@ -26,21 +26,22 @@ def abelian_complexity(w: FiniteWord, n: int) -> int:
     """Number of distinct Parikh vectors among the length-n factors of w."""
     if not 1 <= n <= len(w):
         raise ValueError(f"factor length {n} out of range 1..{len(w)}")
-    cum = w.cum_counts
+    keys = w.abelian_keys(n)
     if len(w.alphabet) == 2:
-        # length is fixed, so the count of the second letter determines the vector
-        ones = cum[:, 1]
-        return int(np.unique(ones[n:] - ones[:-n]).size)
-    diffs = cum[n:] - cum[:-n]
-    return int(np.unique(diffs, axis=0).shape[0])
+        # the keys are one-counts, and those of successive windows differ by
+        # at most 1, so they fill the interval between their extremes
+        return int(keys.max() - keys.min()) + 1
+    return int(keys.max()) + 1
 
 
 def factor_complexity(w: FiniteWord, n: int) -> int:
     """Number of distinct length-n factors of w."""
     if not 1 <= n <= len(w):
         raise ValueError(f"factor length {n} out of range 1..{len(w)}")
-    data = w.data
-    return len({data[i : i + n] for i in range(len(data) - n + 1)})
+    keys = w.factor_keys(n)
+    if n & (n - 1) == 0:
+        return int(keys.max()) + 1  # dense ranks
+    return int(np.unique(keys).size)
 
 
 def is_prefix_normal(w: FiniteWord, letter: str) -> bool:

@@ -219,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--output", help="write the result to this path instead of stdout")
     common.add_argument("--format", choices=("json", "csv", "text"), dest="fmt")
-    common.add_argument("--threads", type=int, default=1, help="worker count for scans")
+    common.add_argument("--threads", type=int, default=1, help="worker threads for scans, at least 1")
 
     parser = argparse.ArgumentParser(
         prog="antipow",
@@ -286,6 +286,8 @@ def main(argv: list[str] | None = None) -> int:
             instructions = InstructionSequence.parse(args.instructions)
         else:
             instructions = _resolve_instructions(args)
+        if args.threads < 1:
+            raise ValueError("--threads must be >= 1")
         cfg = RunConfig(
             command=args.command,
             word=getattr(args, "word", None),

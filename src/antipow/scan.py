@@ -1,18 +1,22 @@
 """Exhaustive detection of powers, abelian powers, antipowers and abelian
 antipowers in finite words.
 
-The block scans are vectorized per cell width d: window contents are reduced
-to exact equality classes (rank doubling, no probabilistic hashing) and
-window Parikh vectors to integer keys, after which per-split distinctness is
-a column-wise sort.
+The block scans are vectorized per cell width d. Every length-d window gets
+an exact equality key (`FiniteWord.factor_keys`, built from rank-doubling
+levels, or `FiniteWord.abelian_keys` for Parikh vectors; no probabilistic
+hashing). A split is then judged by comparing the keys of its cells pair by
+pair, adjacent cells first, on the starts still alive after the previous
+comparisons, and stops once none is left. `find_first` takes the widths in
+ascending order and looks, for each width, only at starts before its best
+hit so far; a hit at the first position ends the search.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -82,82 +86,35 @@ def classify_block(w: FiniteWord, split: BlockSplit) -> ClassifyResult:
     )
 
 
-@lru_cache(maxsize=8)
-def _rank_levels(w: FiniteWord) -> tuple[np.ndarray, ...]:
-    """levels[j][p] is the equality class of the length-2^j window at p;
-    built by rank doubling, so classes are exact."""
-    arr = np.frombuffer(w.data, dtype=np.uint8).astype(np.int64)
-    _, ranks = np.unique(arr, return_inverse=True)
-    levels = [ranks]
-    size = 1
-    while 2 * size <= len(arr):
-        prev = levels[-1]
-        valid = len(arr) - 2 * size + 1
-        keys = prev[:valid] * (int(prev.max()) + 1) + prev[size : size + valid]
-        _, ranks = np.unique(keys, return_inverse=True)
-        levels.append(ranks)
-        size *= 2
-    return tuple(levels)
-
-
-def _window_classes(w: FiniteWord, d: int) -> np.ndarray:
-    """Exact equality-class id of every length-d window of w."""
-    levels = _rank_levels(w)
-    j = d.bit_length() - 1
-    level = levels[j]
-    valid = len(w) - d + 1
-    if (1 << j) == d:
-        return level[:valid]
-    # cover [p, p+d) by two overlapping length-2^j pieces
-    keys = level[:valid] * (int(level.max()) + 1) + level[d - (1 << j) : d - (1 << j) + valid]
-    _, cid = np.unique(keys, return_inverse=True)
-    return cid
-
-
-def _parikh_keys(w: FiniteWord, d: int) -> np.ndarray | None:
-    """One integer per length-d window, equal iff the windows are abelian
-    equivalent; None when the key would overflow (caller falls back)."""
-    cum = w.cum_counts
-    if len(w.alphabet) == 2:
-        ones = cum[:, 1]
-        return ones[d:] - ones[:-d]
-    if (d + 1) ** len(w.alphabet) >= 2**62:
-        return None
-    weights = (d + 1) ** np.arange(len(w.alphabet), dtype=np.int64)
-    return (cum[d:] - cum[:-d]) @ weights
-
-
-def _split_masks(values: np.ndarray, d: int, m: int, distinct: bool) -> np.ndarray:
-    """Boolean mask over 0-based split starts: cells pairwise distinct
-    (distinct=True) or all equal (distinct=False), judging cells by the
-    per-window values array."""
+def _split_masks(
+    values: np.ndarray, d: int, m: int, distinct: bool, stop: int | None = None
+) -> np.ndarray:
+    """Boolean mask over the 0-based split starts below stop (all that fit
+    when None): cells pairwise distinct (distinct=True) or all equal
+    (distinct=False), judging cells by the per-window values array."""
     starts = len(values) - (m - 1) * d
-    cells = np.stack([values[i * d : i * d + starts] for i in range(m)])
-    if not distinct:
-        return (cells == cells[0]).all(axis=0)
-    cells = np.sort(cells, axis=0)
-    return (np.diff(cells, axis=0) != 0).all(axis=0)
-
-
-def _hit_mask(w: FiniteWord, d: int, m: int, kind: str) -> np.ndarray:
-    if kind in ("power", "antipower"):
-        values = _window_classes(w, d)
+    if stop is not None:
+        starts = min(starts, stop)
+    if distinct:
+        keep = np.not_equal
+        pairs = [(i, i + gap) for gap in range(1, m) for i in range(m - gap)]
     else:
-        values = _parikh_keys(w, d)
-        if values is None:
-            return _hit_mask_slow(w, d, m, kind)
-    return _split_masks(values, d, m, distinct=kind.endswith("antipower"))
+        keep = np.equal
+        pairs = [(0, j) for j in range(1, m)]
+    (i, j), rest = pairs[0], pairs[1:]
+    alive = np.flatnonzero(keep(values[i * d : i * d + starts], values[j * d : j * d + starts]))
+    for i, j in rest:
+        if not alive.size:
+            break
+        alive = alive[keep(values[alive + i * d], values[alive + j * d])]
+    mask = np.zeros(starts, dtype=bool)
+    mask[alive] = True
+    return mask
 
 
-def _hit_mask_slow(w: FiniteWord, d: int, m: int, kind: str) -> np.ndarray:
-    cum = w.cum_counts
-    starts = len(w) - m * d + 1
-    distinct = kind.endswith("antipower")
-    out = np.zeros(starts, dtype=bool)
-    for p in range(starts):
-        vecs = {tuple(int(c) for c in cum[p + (i + 1) * d] - cum[p + i * d]) for i in range(m)}
-        out[p] = len(vecs) == m if distinct else len(vecs) == 1
-    return out
+def _hit_mask(w: FiniteWord, d: int, m: int, kind: str, stop: int | None = None) -> np.ndarray:
+    values = w.factor_keys(d) if kind in ("power", "antipower") else w.abelian_keys(d)
+    return _split_masks(values, d, m, kind.endswith("antipower"), stop)
 
 
 def _check_scan_args(w: FiniteWord, m: int, kind: str) -> None:
@@ -169,14 +126,40 @@ def _check_scan_args(w: FiniteWord, m: int, kind: str) -> None:
         raise ValueError("word too short for the requested order")
 
 
-def _first_hits_per_d(w, m, kind, ds) -> list[tuple[int, int]]:
-    """(0-based start, d) of the earliest hit for each d that has one."""
-    hits = []
+def _worker_count(threads: int, widths: int) -> int:
+    """Threads a scan over `widths` cell widths uses: at most one per width
+    and one per CPU."""
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
+    return min(threads, widths, os.cpu_count() or 1)
+
+
+def _map_chunks(fn, w: FiniteWord, kind: str, ds: range, threads: int) -> list:
+    """fn applied to interleaved chunks of the widths ds, one per worker."""
+    workers = _worker_count(threads, len(ds))
+    if workers == 1:
+        return [fn(ds)]
+    # build the shared tables once, before the workers need them
+    if kind in ("power", "antipower"):
+        w.rank_levels
+    else:
+        w.cum_counts
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, [ds[i::workers] for i in range(workers)]))
+
+
+def _first_hit(w: FiniteWord, m: int, kind: str, ds: range) -> tuple[int, int] | None:
+    """(0-based start, d) of the earliest hit over the ascending widths ds.
+    A later width can only win with a smaller start, so each width looks
+    only at the starts before the best hit so far."""
+    best = None
     for d in ds:
-        mask = _hit_mask(w, d, m, kind)
+        mask = _hit_mask(w, d, m, kind, stop=None if best is None else best[0])
         if mask.any():
-            hits.append((int(mask.argmax()), d))
-    return hits
+            best = (int(mask.argmax()), d)
+            if best[0] == 0:
+                break
+    return best
 
 
 def find_first(
@@ -191,13 +174,8 @@ def find_first(
     if d_max is not None:
         limit = min(limit, d_max)
     ds = range(1, limit + 1)
-    if threads > 1:
-        chunks = [ds[i::threads] for i in range(threads)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = pool.map(lambda c: _first_hits_per_d(w, m, kind, c), chunks)
-        hits = [h for part in results for h in part]
-    else:
-        hits = _first_hits_per_d(w, m, kind, ds)
+    results = _map_chunks(lambda c: _first_hit(w, m, kind, c), w, kind, ds, threads)
+    hits = [h for h in results if h is not None]
     if not hits:
         return None
     start0, d = min(hits)
@@ -213,10 +191,4 @@ def avoidance_scan(w: FiniteWord, m: int, kind: str, threads: int = 1) -> bool:
     def clean(chunk) -> bool:
         return not any(_hit_mask(w, d, m, kind).any() for d in chunk)
 
-    if threads > 1:
-        if kind in ("power", "antipower"):
-            _rank_levels(w)  # build shared table before fanning out
-        chunks = [ds[i::threads] for i in range(threads)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return all(pool.map(clean, chunks))
-    return clean(ds)
+    return all(_map_chunks(clean, w, kind, ds, threads))

@@ -72,6 +72,50 @@ class FiniteWord:
             np.cumsum(arr == j, out=out[1:, j])
         return out
 
+    @cached_property
+    def rank_levels(self) -> tuple[np.ndarray, ...]:
+        """levels[j][p] is the equality class of the length-2^j factor at
+        0-based position p, as a dense int32 rank; built by
+        Karp–Miller–Rosenberg rank doubling, so classes are exact."""
+        n = len(self.data)
+        if n >= 2**31:
+            raise ValueError("rank levels need a word shorter than 2^31 letters")
+        _, ranks = np.unique(np.frombuffer(self.data, dtype=np.uint8), return_inverse=True)
+        levels = [ranks.astype(np.int32)]
+        size = 1
+        while 2 * size <= n:
+            prev = levels[-1]
+            valid = n - 2 * size + 1
+            keys = prev[:valid].astype(np.int64) * (n + 1) + prev[size : size + valid]
+            _, ranks = np.unique(keys, return_inverse=True)
+            levels.append(ranks.astype(np.int32))
+            size *= 2
+        return tuple(levels)
+
+    def factor_keys(self, d: int) -> np.ndarray:
+        """One integer per length-d factor, in order of position, equal
+        exactly when the factors are equal. For d a power of two the keys
+        are the dense ranks of a rank level."""
+        j = d.bit_length() - 1
+        level = self.rank_levels[j]
+        if (1 << j) == d:
+            return level
+        # [p, p+d) is covered by the two overlapping length-2^j factors at p and p+off
+        valid = len(self) - d + 1
+        off = d - (1 << j)
+        return level[:valid].astype(np.int64) * (len(self) + 1) + level[off : off + valid]
+
+    def abelian_keys(self, d: int) -> np.ndarray:
+        """One integer per length-d factor, in order of position, equal
+        exactly when the factors have the same Parikh vector: the count of
+        the second letter over a binary alphabet (the length fixes the
+        rest), otherwise the dense rank of the Parikh vector."""
+        cum = self.cum_counts
+        if len(self.alphabet) == 2:
+            return cum[d:, 1] - cum[:-d, 1]
+        _, ranks = np.unique(cum[d:] - cum[:-d], axis=0, return_inverse=True)
+        return ranks
+
 
 @dataclass(frozen=True, eq=False)
 class Morphism:
@@ -199,27 +243,19 @@ def toeplitz_paperfolding_prefix(b: InstructionSequence, n: int) -> FiniteWord:
     Toeplitz hole-filling.
 
     Round k writes the periodic template a?A? (a = 0 if b_k = +1 else 1,
-    A = 1-a) into the remaining holes, in order; after round k all holes
-    at positions not divisible by 2^{k+1} are gone, so ceil(log2 n)+1
-    rounds settle the first n positions.
+    A = 1-a) into the remaining holes, in order. The holes left before
+    round k are the positions divisible by 2^k, so the round writes a at
+    positions 2^k(4q+1) and A at 2^k(4q+3); the rounds with 2^k <= n settle
+    the first n positions.
     """
     if n < 1:
         raise ValueError("prefix length must be >= 1")
-    HOLE = 2
-    buf = bytearray([HOLE] * n)
-    holes = list(range(n))
+    buf = np.zeros(n, dtype=np.uint8)
     k = 0
-    while holes:
+    while (1 << k) <= n:
         a = 0 if b.at(k) == 1 else 1
-        remaining = []
-        for t, idx in enumerate(holes, start=1):
-            r = t % 4
-            if r == 1:
-                buf[idx] = a
-            elif r == 3:
-                buf[idx] = 1 - a
-            else:
-                remaining.append(idx)
-        holes = remaining
+        step = 1 << (k + 2)
+        buf[(1 << k) - 1 :: step] = a
+        buf[3 * (1 << k) - 1 :: step] = 1 - a
         k += 1
-    return FiniteWord(PAPERFOLDING_ALPHABET, bytes(buf))
+    return FiniteWord(PAPERFOLDING_ALPHABET, buf.tobytes())

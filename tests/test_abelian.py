@@ -2,6 +2,7 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from antipow import (
     ComplexityTable,
@@ -198,3 +199,20 @@ def test_complexity_table_validation():
         ComplexityTable("weird", ((1, 1),))
     with pytest.raises(ValueError):
         complexity_table(sierpinski_prefix(3), "abelian", 9)
+
+
+@st.composite
+def words_and_lengths(draw, max_len=200):
+    letters = draw(st.sampled_from(("ab", "abc")))
+    text = draw(st.text(alphabet=letters, min_size=1, max_size=max_len))
+    n = draw(st.integers(1, len(text)))
+    return FiniteWord.from_text(text, tuple(letters)), n
+
+
+@settings(max_examples=300)
+@given(case=words_and_lengths())
+def test_complexities_match_sets_of_factors(case):
+    w, n = case
+    windows = [w.data[i : i + n] for i in range(len(w) - n + 1)]
+    assert factor_complexity(w, n) == len(set(windows))
+    assert abelian_complexity(w, n) == len({frozenset(Counter(f).items()) for f in windows})

@@ -134,6 +134,15 @@ def test_scan_threads_deterministic(capsys):
     assert single == multi
 
 
+def test_scan_rejects_nonpositive_threads(capsys):
+    for value in ("0", "-2"):
+        code, out, err = run(
+            capsys, "scan", "sierpinski", "--length", "100", "--order", "3",
+            "--kind", "antipower", "--threads", value,
+        )
+        assert code == 2 and out == "" and "--threads" in err
+
+
 def test_construct_verified(capsys):
     code, out, _ = run(capsys, "construct", "--instructions", "(+)", "--order", "2")
     assert code == 0

@@ -1,17 +1,22 @@
+import os
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from antipow import (
     BlockSplit,
     FiniteWord,
     REGULAR,
+    THUE_MORSE_MORPHISM,
     avoidance_scan,
     classify_block,
     find_first,
+    morphism_prefix,
     sierpinski_prefix,
     toeplitz_paperfolding_prefix,
 )
+from antipow.scan import _worker_count
 from conftest import brute_find_first
 
 AB = ("a", "b")
@@ -152,7 +157,9 @@ def test_scan_hit_json():
 
 
 def test_slow_abelian_mask_agrees_with_classifier():
-    from antipow.scan import _hit_mask, _hit_mask_slow
+    # "slow" is a per-start loop over the ranked Parikh keys of a ternary
+    # word; "fast" is the compacting pairwise mask built from the same keys
+    from antipow.scan import _hit_mask
 
     rng = random.Random(47)
     for _ in range(30):
@@ -160,9 +167,74 @@ def test_slow_abelian_mask_agrees_with_classifier():
         w = FiniteWord.from_text(text, ("a", "b", "c"))
         m = rng.randint(2, 3)
         d = rng.randint(1, len(w) // m)
-        slow = _hit_mask_slow(w, d, m, "abelian_antipower")
+        keys = w.abelian_keys(d)
+        starts = range(len(w) - m * d + 1)
+        slow = [len({int(keys[p + i * d]) for i in range(m)}) == m for p in starts]
         fast = _hit_mask(w, d, m, "abelian_antipower")
         assert list(slow) == list(fast)
         for p, flag in enumerate(slow):
             expected = classify_block(w, BlockSplit(p + 1, d, m)).is_abelian_antipower
             assert flag == expected
+
+
+def test_worker_count_is_bounded():
+    # the helper is called directly: a pool is never given such a value
+    cpus = os.cpu_count() or 1
+    assert _worker_count(10**6, 5) == min(5, cpus)
+    assert _worker_count(10**6, 10**6) == cpus
+    assert _worker_count(1, 10**6) == 1
+    for bad in (0, -3):
+        with pytest.raises(ValueError):
+            _worker_count(bad, 5)
+    w = word("abababab")
+    with pytest.raises(ValueError):
+        find_first(w, 2, "antipower", threads=0)
+    with pytest.raises(ValueError):
+        avoidance_scan(w, 2, "antipower", threads=0)
+
+
+_STRUCTURED = {
+    "sierpinski": sierpinski_prefix(3**5),
+    "thue-morse": morphism_prefix(THUE_MORSE_MORPHISM, "0", 2**8),
+    "paperfolding": toeplitz_paperfolding_prefix(REGULAR, 2**8),
+}
+
+
+@st.composite
+def scan_words(draw, max_len=200):
+    """Random binary or ternary words, or prefixes of the structured words."""
+    n = draw(st.integers(2, max_len))
+    if draw(st.booleans()):
+        letters = draw(st.sampled_from(("01", "abc")))
+        text = draw(st.text(alphabet=letters, min_size=n, max_size=n))
+        return FiniteWord.from_text(text, tuple(letters))
+    return _STRUCTURED[draw(st.sampled_from(sorted(_STRUCTURED)))].prefix(n)
+
+
+kinds = st.sampled_from(("power", "abelian_power", "antipower", "abelian_antipower"))
+
+
+@settings(max_examples=300)
+@given(w=scan_words(), m=st.integers(2, 5), kind=kinds, d_max=st.none() | st.integers(1, 40))
+def test_find_first_matches_brute_force_property(w, m, kind, d_max):
+    assume(len(w) >= m)
+    hit = find_first(w, m, kind, d_max=d_max)
+    got = None if hit is None else (hit.start, hit.cell_width)
+    assert got == brute_find_first(w, m, kind, d_max=d_max)
+
+
+@settings(max_examples=200)
+@given(w=scan_words(), m=st.integers(2, 5), kind=kinds)
+def test_avoidance_scan_matches_brute_force_property(w, m, kind):
+    assume(len(w) >= m)
+    assert avoidance_scan(w, m, kind) == (brute_find_first(w, m, kind) is None)
+
+
+@settings(max_examples=100)
+@given(w=scan_words(), m=st.integers(2, 5), kind=kinds, d_max=st.none() | st.integers(1, 40))
+def test_threads_agree_property(w, m, kind, d_max):
+    assume(len(w) >= m)
+    assert find_first(w, m, kind, d_max=d_max, threads=1) == find_first(
+        w, m, kind, d_max=d_max, threads=2
+    )
+    assert avoidance_scan(w, m, kind, threads=1) == avoidance_scan(w, m, kind, threads=2)

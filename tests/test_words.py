@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from antipow import (
     FiniteWord,
@@ -193,6 +194,22 @@ def test_random_instruction_sequences_oracle_consistency():
         n = 2**9
         w = toeplitz_paperfolding_prefix(b, n)
         assert all(paperfolding_letter(b, i + 1) == w[i] for i in range(n))
+
+
+_signs = st.sampled_from((1, -1))
+instruction_sequences = st.builds(
+    InstructionSequence,
+    st.lists(_signs, max_size=3).map(tuple),
+    st.lists(_signs, min_size=1, max_size=4).map(tuple),
+)
+
+
+@settings(max_examples=100)
+@given(b=instruction_sequences, n=st.integers(1, 5000))
+def test_toeplitz_matches_letter_oracle_property(b, n):
+    w = toeplitz_paperfolding_prefix(b, n)
+    assert len(w) == n
+    assert all(paperfolding_letter(b, i + 1) == w[i] for i in range(n))
 
 
 def _residue_form_letter(b: InstructionSequence, i: int) -> int:
