@@ -266,9 +266,13 @@ def additivity_combine(
 
 def choose_r(b: InstructionSequence, min_exponent_bound: int, constraint_orders: Iterable[int]) -> int:
     """Smallest r with 2^r > min_exponent_bound whose shift respects the
-    instruction sequence at every constrained order."""
+    instruction sequence at every constrained order.
+
+    For r >= len(b.preperiod) the test b_k = b_{k+r} depends only on
+    r mod len(b.period), so one period of shifts past the preperiod decides.
+    """
     start = int(min_exponent_bound).bit_length()
-    limit = start + 8 * len(b.period)
+    limit = max(start, len(b.preperiod)) + len(b.period) - 1
     orders = sorted(constraint_orders)
     for r in range(start, limit + 1):
         if all(b.at(k) == b.at(k + r) for k in orders):

@@ -10,9 +10,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
-from .abelian import ComplexityTable, abelian_complexity, complexity_table, factor_complexity
+# abelian_complexity and factor_complexity are unused here: the bench tracer wraps them as cli attributes
+from .abelian import abelian_complexity, complexity_table, factor_complexity
 from .calculus import (
     additivity_combine,
     additivity_precheck,
@@ -31,22 +31,6 @@ from .words import (
 )
 
 WORDS = ("sierpinski", "thue-morse", "paperfolding")
-
-
-@dataclass
-class RunConfig:
-    command: str
-    word: str | None = None
-    instructions: InstructionSequence | None = None
-    length: int | None = None
-    order: int | None = None
-    d_max: int | None = None
-    max_n: int | None = None
-    kind: str | None = None
-    avoidance: bool = False
-    fmt: str | None = None
-    output: str | None = None
-    threads: int = 1
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -90,7 +74,7 @@ def _build_word(word: str, instructions: InstructionSequence | None, length: int
 def _resolve_instructions(args) -> InstructionSequence | None:
     """Merge the optional positional and the --instructions flag."""
     positional = getattr(args, "instructions_pos", None)
-    flagged = getattr(args, "instructions", None)
+    flagged = args.instructions
     if positional is not None and flagged is not None and positional != flagged:
         raise ValueError("instructions given twice with different values")
     text = flagged if flagged is not None else positional
@@ -103,42 +87,36 @@ def _resolve_instructions(args) -> InstructionSequence | None:
     return InstructionSequence.parse(text) if text is not None else None
 
 
-def cmd_generate(cfg: RunConfig) -> int:
-    w = _build_word(cfg.word, cfg.instructions, cfg.length)
-    _emit(str(w), cfg.output)
+def cmd_generate(args) -> int:
+    w = _build_word(args.word, args.instructions, args.length)
+    _emit(str(w), args.output)
     return 0
 
 
-def _complexity_word_length(cfg: RunConfig) -> int:
-    if cfg.length is not None:
-        return cfg.length
-    if cfg.word == "sierpinski":
-        return 3 ** (_ceil_log3(cfg.max_n) + 1)
-    if cfg.word == "thue-morse":
-        return max(1024, _next_pow2(4 * cfg.max_n))
-    return max(2**14, _next_pow2(4 * cfg.max_n))
+def _complexity_word_length(args) -> int:
+    if args.length is not None:
+        return args.length
+    if args.word == "sierpinski":
+        # every factor of length n <= 3^k of the infinite word occurs in its
+        # prefix of length 3^(k+1), so this one prefix gives exact values
+        return 3 ** (_ceil_log3(args.max_n) + 1)
+    if args.word == "thue-morse":
+        return max(1024, _next_pow2(4 * args.max_n))
+    return max(2**14, _next_pow2(4 * args.max_n))
 
 
-def cmd_complexity(cfg: RunConfig) -> int:
-    if cfg.max_n < 1:
+def cmd_complexity(args) -> int:
+    if args.max_n < 1:
         raise ValueError("--max-n must be >= 1")
-    length = _complexity_word_length(cfg)
-    if cfg.max_n > length:
+    length = _complexity_word_length(args)
+    if args.max_n > length:
         raise ValueError("--max-n exceeds the generated prefix length")
-    w = _build_word(cfg.word, cfg.instructions, length)
-    if cfg.word == "sierpinski" and cfg.length is None:
-        # per-n canonical windows keep every value exact for the infinite word
-        fn = abelian_complexity if cfg.kind == "abelian" else factor_complexity
-        rows = tuple(
-            (n, fn(w.prefix(3 ** (_ceil_log3(n) + 1)), n)) for n in range(1, cfg.max_n + 1)
-        )
-        table = ComplexityTable(cfg.kind, rows)
+    w = _build_word(args.word, args.instructions, length)
+    table = complexity_table(w, args.kind, args.max_n)
+    if args.fmt == "json":
+        _emit("\n".join(json.dumps({"n": n, "value": v}) for n, v in table.rows), args.output)
     else:
-        table = complexity_table(w, cfg.kind, cfg.max_n)
-    if cfg.fmt == "json":
-        _emit("\n".join(json.dumps({"n": n, "value": v}) for n, v in table.rows), cfg.output)
-    else:
-        _emit(table.to_csv(), cfg.output)
+        _emit(table.to_csv(), args.output)
     return 0
 
 
@@ -148,33 +126,35 @@ def _format_hit(hit: ScanHit, fmt: str | None) -> str:
     return hit.to_json()
 
 
-def cmd_scan(cfg: RunConfig) -> int:
-    if cfg.order < 2:
+def cmd_scan(args) -> int:
+    if args.threads < 1:
+        raise ValueError("--threads must be >= 1")
+    if args.order < 2:
         raise ValueError("--order must be >= 2")
-    w = _build_word(cfg.word, cfg.instructions, cfg.length)
-    kind = cfg.kind.replace("-", "_")
-    if cfg.avoidance:
-        if avoidance_scan(w, cfg.order, kind, threads=cfg.threads):
-            _emit("none found: avoidance verified", cfg.output)
+    w = _build_word(args.word, args.instructions, args.length)
+    kind = args.kind.replace("-", "_")
+    if args.avoidance:
+        if avoidance_scan(w, args.order, kind, threads=args.threads):
+            _emit("none found: avoidance verified", args.output)
         else:
-            hit = find_first(w, cfg.order, kind, threads=cfg.threads)
-            _emit(_format_hit(hit, cfg.fmt), cfg.output)
+            hit = find_first(w, args.order, kind, threads=args.threads)
+            _emit(_format_hit(hit, args.fmt), args.output)
         return 0
-    hit = find_first(w, cfg.order, kind, d_max=cfg.d_max, threads=cfg.threads)
-    _emit("none" if hit is None else _format_hit(hit, cfg.fmt), cfg.output)
+    hit = find_first(w, args.order, kind, d_max=args.d_max, threads=args.threads)
+    _emit("none" if hit is None else _format_hit(hit, args.fmt), args.output)
     return 0
 
 
-def cmd_construct(cfg: RunConfig) -> int:
-    if cfg.order < 2:
+def cmd_construct(args) -> int:
+    if args.order < 2:
         raise ValueError("--order must be >= 2")
-    cert = construct_antipower(cfg.instructions, cfg.order)
-    _emit(cert.to_json(), cfg.output)
+    cert = construct_antipower(args.instructions, args.order)
+    _emit(cert.to_json(), args.output)
     return 0 if cert.verified else 3
 
 
-def cmd_delta(args, cfg: RunConfig) -> int:
-    b = cfg.instructions
+def cmd_delta(args) -> int:
+    b = args.instructions
     l = args.l
     if args.combine:
         if args.d is None or args.m is None or args.l2 is None or args.d2 is None or args.r is None:
@@ -182,36 +162,36 @@ def cmd_delta(args, cfg: RunConfig) -> int:
         report = additivity_precheck(b, l, args.d, args.l2, args.d2, args.m, args.r)
         if not report.ok:
             lines = ["precheck: violation"] + [f"  {v}" for v in report.violations]
-            _emit("\n".join(lines), cfg.output)
+            _emit("\n".join(lines), args.output)
             return 1
         combined_l, combined_d = additivity_combine(b, l, args.d, args.l2, args.d2, args.m, args.r)
-        if cfg.fmt == "json":
+        if args.fmt == "json":
             _emit(
                 json.dumps({"ok": True, "l": str(combined_l), "d": str(combined_d)}),
-                cfg.output,
+                args.output,
             )
         else:
-            _emit(f"precheck: ok\ncombined: l={combined_l} d={combined_d}", cfg.output)
+            _emit(f"precheck: ok\ncombined: l={combined_l} d={combined_d}", args.output)
         return 0
     if args.n is not None:
         value = delta_interval(b, l, args.n)
-        if cfg.fmt == "json":
-            _emit(json.dumps({"l": str(l), "n": str(args.n), "delta": value}), cfg.output)
+        if args.fmt == "json":
+            _emit(json.dumps({"l": str(l), "n": str(args.n), "delta": value}), args.output)
         else:
-            _emit(str(value), cfg.output)
+            _emit(str(value), args.output)
         return 0
     if args.d is None or args.m is None:
         raise ValueError("need either --n (scalar) or --d and --m (vector)")
     vec = delta_vector(b, l, args.d, args.m)
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         _emit(
             json.dumps(
                 {"l": str(l), "d": str(args.d), "m": args.m, "delta": list(vec.components)}
             ),
-            cfg.output,
+            args.output,
         )
     else:
-        _emit("(" + ",".join(str(c) for c in vec.components) + ")", cfg.output)
+        _emit("(" + ",".join(str(c) for c in vec.components) + ")", args.output)
     return 0
 
 
@@ -219,32 +199,33 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--output", help="write the result to this path instead of stdout")
     common.add_argument("--format", choices=("json", "csv", "text"), dest="fmt")
-    common.add_argument("--threads", type=int, default=1, help="worker threads for scans, at least 1")
 
     parser = argparse.ArgumentParser(
         prog="antipow",
         description="Generate structured words, analyze their abelian structure, "
         "scan for (anti)powers and synthesize verified abelian antipowers.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(required=True)
 
-    def add_word_args(p, with_instructions=True):
+    def add_word_args(p):
         p.add_argument("word", choices=WORDS)
-        if with_instructions:
-            p.add_argument("instructions_pos", nargs="?", metavar="INSTRUCTIONS")
-            p.add_argument("--instructions", help="instruction string, e.g. '(+)' or '+-(-)'")
+        p.add_argument("instructions_pos", nargs="?", metavar="INSTRUCTIONS")
+        p.add_argument("--instructions", help="instruction string, e.g. '(+)' or '+-(-)'")
 
     p = sub.add_parser("generate", parents=[common], help="print a prefix of a word")
+    p.set_defaults(handler=cmd_generate)
     add_word_args(p)
     p.add_argument("--length", type=int, required=True)
 
     p = sub.add_parser("complexity", parents=[common], help="emit a complexity table")
+    p.set_defaults(handler=cmd_complexity)
     add_word_args(p)
     p.add_argument("--max-n", type=int, required=True, dest="max_n")
     p.add_argument("--kind", choices=("abelian", "factor"), default="abelian")
     p.add_argument("--length", type=int, help="prefix length (default chosen per word)")
 
     p = sub.add_parser("scan", parents=[common], help="search for (anti)power occurrences")
+    p.set_defaults(handler=cmd_scan)
     add_word_args(p)
     p.add_argument("--length", type=int, required=True)
     p.add_argument("--order", type=int, required=True)
@@ -255,12 +236,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--d-max", type=int, dest="d_max")
     p.add_argument("--avoidance", action="store_true", help="verify absence over every split")
+    p.add_argument("--threads", type=int, default=1, help="worker threads, at least 1")
 
     p = sub.add_parser("construct", parents=[common], help="synthesize an abelian antipower certificate")
+    p.set_defaults(handler=cmd_construct)
     p.add_argument("--instructions", required=True)
     p.add_argument("--order", type=int, required=True)
 
     p = sub.add_parser("delta", parents=[common], help="delta vectors and the additivity precheck")
+    p.set_defaults(handler=cmd_delta)
     p.add_argument("--instructions", required=True)
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--d", type=int)
@@ -282,35 +266,8 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if exc.code in (0, None) else int(exc.code)
 
     try:
-        if args.command in ("construct", "delta"):
-            instructions = InstructionSequence.parse(args.instructions)
-        else:
-            instructions = _resolve_instructions(args)
-        if args.threads < 1:
-            raise ValueError("--threads must be >= 1")
-        cfg = RunConfig(
-            command=args.command,
-            word=getattr(args, "word", None),
-            instructions=instructions,
-            length=getattr(args, "length", None),
-            order=getattr(args, "order", None),
-            d_max=getattr(args, "d_max", None),
-            max_n=getattr(args, "max_n", None),
-            kind=getattr(args, "kind", None),
-            avoidance=getattr(args, "avoidance", False),
-            fmt=args.fmt,
-            output=args.output,
-            threads=args.threads,
-        )
-        if cfg.command == "generate":
-            return cmd_generate(cfg)
-        if cfg.command == "complexity":
-            return cmd_complexity(cfg)
-        if cfg.command == "scan":
-            return cmd_scan(cfg)
-        if cfg.command == "construct":
-            return cmd_construct(cfg)
-        return cmd_delta(args, cfg)
+        args.instructions = _resolve_instructions(args)
+        return args.handler(args)
     except ValueError as exc:
         return _fail(str(exc), 2)
     except ArithmeticError as exc:

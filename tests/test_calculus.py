@@ -225,6 +225,11 @@ def test_choose_r_incompatible_preperiod():
         choose_r(b, 4, {0})
 
 
+def test_choose_r_past_a_long_preperiod():
+    b = InstructionSequence.parse("+" + "-" * 20 + "(+)")
+    assert choose_r(b, 1, {0}) == 21
+
+
 def test_find_seed_block_regular_small_exponents():
     lp = find_seed_block(REGULAR, 1, 1)
     assert lp == 4 and lp % 2 == 0
@@ -409,3 +414,30 @@ def test_additivity_combine_check_raises_on_identity_violation(monkeypatch):
     monkeypatch.setattr(antipow.calculus, "delta_vector", skewed)
     with pytest.raises(ArithmeticError, match="additivity identity"):
         additivity_combine(REGULAR, 0, 2, 0, 2, 2, 4, check=True)
+
+
+@settings(max_examples=300)
+@given(
+    st.builds(
+        InstructionSequence,
+        # a long constant run in the preperiod is what pushes r far out
+        st.builds(
+            lambda head, sign, run: tuple(head) + (sign,) * run,
+            st.lists(_signs, max_size=4), _signs, st.integers(0, 40),
+        ),
+        st.lists(_signs, min_size=1, max_size=6).map(tuple),
+    ),
+    st.integers(0, 2**12),
+    st.sets(st.integers(0, 12), max_size=4),
+)
+def test_choose_r_matches_brute_force(b, bound, orders):
+    valid = [
+        r
+        for r in range(bound.bit_length(), 400)
+        if all(b.at(k) == b.at(k + r) for k in orders)
+    ]
+    if valid:
+        assert choose_r(b, bound, orders) == valid[0]
+    else:
+        with pytest.raises(ValueError, match="no shift exponent"):
+            choose_r(b, bound, orders)

@@ -3,8 +3,14 @@ import sys
 
 import pytest
 
-from antipow import AntipowerCertificate, verify_certificate
-from antipow.cli import _build_word, main
+from antipow import (
+    AntipowerCertificate,
+    abelian_complexity,
+    factor_complexity,
+    sierpinski_prefix,
+    verify_certificate,
+)
+from antipow.cli import _build_word, _ceil_log3, main
 
 REGULAR_32 = "00100110001101100010011100110110"
 
@@ -56,6 +62,20 @@ def test_complexity_sierpinski_small(capsys):
     code, out, _ = run(capsys, "complexity", "sierpinski", "--max-n", "3")
     assert code == 0
     assert out.splitlines() == ["n,value", "1,2", "2,2", "3,3"]
+
+
+@pytest.mark.parametrize("kind", ["abelian", "factor"])
+def test_complexity_sierpinski_matches_per_n_prefixes(capsys, kind):
+    # one table on the 3^(k+1) prefix equals, for each n, the value on the
+    # shortest canonical prefix 3^(ceil_log3(n) + 1)
+    fn = abelian_complexity if kind == "abelian" else factor_complexity
+    for max_n in (1, 2, 3, 4, 9, 10, 27, 28, 243, 244):
+        code, out, _ = run(capsys, "complexity", "sierpinski", "--kind", kind, "--max-n", str(max_n))
+        assert code == 0
+        expected = [
+            f"{n},{fn(sierpinski_prefix(3 ** (_ceil_log3(n) + 1)), n)}" for n in range(1, max_n + 1)
+        ]
+        assert out.splitlines() == ["n,value"] + expected
 
 
 def test_complexity_thue_morse_bounded(capsys):
@@ -141,6 +161,16 @@ def test_scan_rejects_nonpositive_threads(capsys):
             "--kind", "antipower", "--threads", value,
         )
         assert code == 2 and out == "" and "--threads" in err
+
+
+def test_threads_is_a_scan_option(capsys):
+    code, out, _ = run(capsys, "generate", "sierpinski", "--length", "4", "--threads", "2")
+    assert code == 2 and out == ""
+    code, _, _ = run(
+        capsys, "scan", "sierpinski", "--length", "100", "--order", "3",
+        "--kind", "antipower", "--threads", "2",
+    )
+    assert code == 0
 
 
 def test_construct_verified(capsys):
