@@ -453,17 +453,10 @@ def construct_antipower(b: InstructionSequence, m: int) -> AntipowerCertificate:
 
 def verify_certificate(b: InstructionSequence, cert: AntipowerCertificate) -> bool:
     """Recompute every cell one-count by popcount counting and require the
-    stored counts to match and be pairwise distinct; cross-check each count
-    against the cell-width baseline plus the cell delta."""
+    stored counts to match and be pairwise distinct."""
     start, d, m = cert.start, cert.cell_width, cert.m
     counts = [_interval_ones(b, start + t * d, start + (t + 1) * d) for t in range(m)]
-    if tuple(counts) != cert.cell_one_counts:
-        return False
-    if len(set(counts)) != m:
-        return False
-    baseline = _baseline(d)
-    deltas = delta_vector(b, start, d, m).components
-    return all(c == baseline + x for c, x in zip(counts, deltas))
+    return tuple(counts) == cert.cell_one_counts and len(set(counts)) == m
 
 
 def order_shift_check(b: InstructionSequence, i: int, s: int) -> bool:

@@ -127,20 +127,20 @@ def _format_hit(hit: ScanHit, fmt: str | None) -> str:
 
 
 def cmd_scan(args) -> int:
-    if args.threads < 1:
-        raise ValueError("--threads must be >= 1")
     if args.order < 2:
         raise ValueError("--order must be >= 2")
+    if args.avoidance and args.d_max is not None:
+        raise ValueError("--d-max cannot be combined with --avoidance, which checks every width")
     w = _build_word(args.word, args.instructions, args.length)
     kind = args.kind.replace("-", "_")
     if args.avoidance:
-        if avoidance_scan(w, args.order, kind, threads=args.threads):
+        if avoidance_scan(w, args.order, kind):
             _emit("none found: avoidance verified", args.output)
         else:
-            hit = find_first(w, args.order, kind, threads=args.threads)
+            hit = find_first(w, args.order, kind)
             _emit(_format_hit(hit, args.fmt), args.output)
         return 0
-    hit = find_first(w, args.order, kind, d_max=args.d_max, threads=args.threads)
+    hit = find_first(w, args.order, kind, d_max=args.d_max)
     _emit("none" if hit is None else _format_hit(hit, args.fmt), args.output)
     return 0
 
@@ -236,7 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--d-max", type=int, dest="d_max")
     p.add_argument("--avoidance", action="store_true", help="verify absence over every split")
-    p.add_argument("--threads", type=int, default=1, help="worker threads, at least 1")
 
     p = sub.add_parser("construct", parents=[common], help="synthesize an abelian antipower certificate")
     p.set_defaults(handler=cmd_construct)

@@ -14,8 +14,6 @@ hit so far; a hit at the first position ends the search.
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,45 +124,7 @@ def _check_scan_args(w: FiniteWord, m: int, kind: str) -> None:
         raise ValueError("word too short for the requested order")
 
 
-def _worker_count(threads: int, widths: int) -> int:
-    """Threads a scan over `widths` cell widths uses: at most one per width
-    and one per CPU."""
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
-    return min(threads, widths, os.cpu_count() or 1)
-
-
-def _map_chunks(fn, w: FiniteWord, kind: str, ds: range, threads: int) -> list:
-    """fn applied to interleaved chunks of the widths ds, one per worker."""
-    workers = _worker_count(threads, len(ds))
-    if workers == 1:
-        return [fn(ds)]
-    # build the shared tables once, before the workers need them
-    if kind in ("power", "antipower"):
-        w.rank_levels
-    else:
-        w.cum_counts
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, [ds[i::workers] for i in range(workers)]))
-
-
-def _first_hit(w: FiniteWord, m: int, kind: str, ds: range) -> tuple[int, int] | None:
-    """(0-based start, d) of the earliest hit over the ascending widths ds.
-    A later width can only win with a smaller start, so each width looks
-    only at the starts before the best hit so far."""
-    best = None
-    for d in ds:
-        mask = _hit_mask(w, d, m, kind, stop=None if best is None else best[0])
-        if mask.any():
-            best = (int(mask.argmax()), d)
-            if best[0] == 0:
-                break
-    return best
-
-
-def find_first(
-    w: FiniteWord, m: int, kind: str, d_max: int | None = None, threads: int = 1
-) -> ScanHit | None:
+def find_first(w: FiniteWord, m: int, kind: str, d_max: int | None = None) -> ScanHit | None:
     """Earliest occurrence (smallest start, ties broken by smallest cell
     width) of the requested kind with cell width at most d_max."""
     _check_scan_args(w, m, kind)
@@ -173,22 +133,21 @@ def find_first(
     limit = len(w) // m
     if d_max is not None:
         limit = min(limit, d_max)
-    ds = range(1, limit + 1)
-    results = _map_chunks(lambda c: _first_hit(w, m, kind, c), w, kind, ds, threads)
-    hits = [h for h in results if h is not None]
-    if not hits:
+    best = None
+    # a later width can only win with a smaller start than the best so far
+    for d in range(1, limit + 1):
+        mask = _hit_mask(w, d, m, kind, stop=None if best is None else best[0])
+        if mask.any():
+            best = (int(mask.argmax()), d)
+            if best[0] == 0:
+                break
+    if best is None:
         return None
-    start0, d = min(hits)
-    return ScanHit(start=start0 + 1, cell_width=d, order=m, kind=kind)
+    return ScanHit(start=best[0] + 1, cell_width=best[1], order=m, kind=kind)
 
 
-def avoidance_scan(w: FiniteWord, m: int, kind: str, threads: int = 1) -> bool:
+def avoidance_scan(w: FiniteWord, m: int, kind: str) -> bool:
     """True iff w contains no occurrence of the requested kind, checking
     every start and every cell width that fits."""
     _check_scan_args(w, m, kind)
-    ds = range(1, len(w) // m + 1)
-
-    def clean(chunk) -> bool:
-        return not any(_hit_mask(w, d, m, kind).any() for d in chunk)
-
-    return all(_map_chunks(clean, w, kind, ds, threads))
+    return not any(_hit_mask(w, d, m, kind).any() for d in range(1, len(w) // m + 1))

@@ -146,31 +146,26 @@ def test_scan_none_result(capsys):
     assert code == 0 and out == "none\n"
 
 
-def test_scan_threads_deterministic(capsys):
-    args = ("scan", "paperfolding", "(+)", "--length", "512", "--order", "3",
-            "--kind", "antipower")
-    _, single, _ = run(capsys, *args)
-    _, multi, _ = run(capsys, *args, "--threads", "3")
-    assert single == multi
-
-
-def test_scan_rejects_nonpositive_threads(capsys):
-    for value in ("0", "-2"):
-        code, out, err = run(
-            capsys, "scan", "sierpinski", "--length", "100", "--order", "3",
-            "--kind", "antipower", "--threads", value,
-        )
-        assert code == 2 and out == "" and "--threads" in err
-
-
-def test_threads_is_a_scan_option(capsys):
+def test_no_command_takes_threads(capsys):
     code, out, _ = run(capsys, "generate", "sierpinski", "--length", "4", "--threads", "2")
     assert code == 2 and out == ""
-    code, _, _ = run(
+    code, out, _ = run(
         capsys, "scan", "sierpinski", "--length", "100", "--order", "3",
         "--kind", "antipower", "--threads", "2",
     )
-    assert code == 0
+    assert code == 2 and out == ""
+
+
+def test_scan_rejects_d_max_with_avoidance(capsys, monkeypatch):
+    def no_word(*args):
+        raise AssertionError("a word was built")
+
+    monkeypatch.setattr("antipow.cli._build_word", no_word)
+    code, out, err = run(
+        capsys, "scan", "sierpinski", "--length", "100", "--order", "3",
+        "--kind", "antipower", "--avoidance", "--d-max", "2",
+    )
+    assert code == 2 and out == "" and "--d-max" in err
 
 
 def test_construct_verified(capsys):

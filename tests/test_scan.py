@@ -1,4 +1,3 @@
-import os
 import random
 
 import pytest
@@ -16,7 +15,6 @@ from antipow import (
     sierpinski_prefix,
     toeplitz_paperfolding_prefix,
 )
-from antipow.scan import _worker_count
 from conftest import brute_find_first
 
 AB = ("a", "b")
@@ -143,14 +141,6 @@ def test_scan_argument_validation():
         find_first(word("a"), 2, "antipower")
 
 
-def test_threads_do_not_change_results():
-    w = toeplitz_paperfolding_prefix(REGULAR, 2**10)
-    for kind in ("antipower", "abelian_antipower"):
-        assert find_first(w, 3, kind) == find_first(w, 3, kind, threads=3)
-    s = sierpinski_prefix(3**5)
-    assert avoidance_scan(s, 11, "antipower") == avoidance_scan(s, 11, "antipower", threads=3)
-
-
 def test_scan_hit_json():
     hit = find_first(word("0110", ("0", "1")), 2, "antipower")
     assert hit.to_json() == '{"start": 1, "d": 1, "m": 2, "kind": "antipower"}'
@@ -175,22 +165,6 @@ def test_slow_abelian_mask_agrees_with_classifier():
         for p, flag in enumerate(slow):
             expected = classify_block(w, BlockSplit(p + 1, d, m)).is_abelian_antipower
             assert flag == expected
-
-
-def test_worker_count_is_bounded():
-    # the helper is called directly: a pool is never given such a value
-    cpus = os.cpu_count() or 1
-    assert _worker_count(10**6, 5) == min(5, cpus)
-    assert _worker_count(10**6, 10**6) == cpus
-    assert _worker_count(1, 10**6) == 1
-    for bad in (0, -3):
-        with pytest.raises(ValueError):
-            _worker_count(bad, 5)
-    w = word("abababab")
-    with pytest.raises(ValueError):
-        find_first(w, 2, "antipower", threads=0)
-    with pytest.raises(ValueError):
-        avoidance_scan(w, 2, "antipower", threads=0)
 
 
 _STRUCTURED = {
@@ -228,13 +202,3 @@ def test_find_first_matches_brute_force_property(w, m, kind, d_max):
 def test_avoidance_scan_matches_brute_force_property(w, m, kind):
     assume(len(w) >= m)
     assert avoidance_scan(w, m, kind) == (brute_find_first(w, m, kind) is None)
-
-
-@settings(max_examples=100)
-@given(w=scan_words(), m=st.integers(2, 5), kind=kinds, d_max=st.none() | st.integers(1, 40))
-def test_threads_agree_property(w, m, kind, d_max):
-    assume(len(w) >= m)
-    assert find_first(w, m, kind, d_max=d_max, threads=1) == find_first(
-        w, m, kind, d_max=d_max, threads=2
-    )
-    assert avoidance_scan(w, m, kind, threads=1) == avoidance_scan(w, m, kind, threads=2)
