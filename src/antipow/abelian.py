@@ -24,8 +24,6 @@ def parikh_prefix_table(w: FiniteWord) -> list[tuple[int, ...]]:
 
 def abelian_complexity(w: FiniteWord, n: int) -> int:
     """Number of distinct Parikh vectors among the length-n factors of w."""
-    if not 1 <= n <= len(w):
-        raise ValueError(f"factor length {n} out of range 1..{len(w)}")
     keys = w.abelian_keys(n)
     if len(w.alphabet) == 2:
         # the keys are one-counts, and those of successive windows differ by
@@ -36,8 +34,6 @@ def abelian_complexity(w: FiniteWord, n: int) -> int:
 
 def factor_complexity(w: FiniteWord, n: int) -> int:
     """Number of distinct length-n factors of w."""
-    if not 1 <= n <= len(w):
-        raise ValueError(f"factor length {n} out of range 1..{len(w)}")
     keys = w.factor_keys(n)
     if n & (n - 1) == 0:
         return int(keys.max()) + 1  # dense ranks

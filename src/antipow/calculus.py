@@ -27,6 +27,14 @@ from typing import Iterable
 
 from .words import InstructionSequence, paperfolding_letter
 
+# candidate block centers find_seed_block tries before giving up
+SEED_SCAN_BOUND = 1024
+
+# additivity steps construct_antipower takes on; the paper's weights need
+# 3,279 at orders 5..8 and 21,523,359 at orders 9..16, each step adding
+# 6-8 bits to the start
+MAX_ADDITIVITY_STEPS = 10**5
+
 
 @dataclass(frozen=True)
 class OrderDecomposition:
@@ -283,7 +291,7 @@ def choose_r(b: InstructionSequence, min_exponent_bound: int, constraint_orders:
     )
 
 
-def find_seed_block(b: InstructionSequence, u: int, k: int, scan_bound: int = 1024) -> int:
+def find_seed_block(b: InstructionSequence, u: int, k: int) -> int:
     """Even start lp of a seed factor for the antipower construction.
 
     Scans the ones of order u+k as block centers c; the factor occupies
@@ -299,7 +307,7 @@ def find_seed_block(b: InstructionSequence, u: int, k: int, scan_bound: int = 10
     half = 1 << (center_order + 1)
     width = 1 << u
     cells = 1 << k
-    for t in range(scan_bound + 1):
+    for t in range(SEED_SCAN_BOUND + 1):
         c = (2 + b.at(center_order) + 4 * t) << center_order
         l = c - half
         if l < 0:
@@ -317,7 +325,7 @@ def find_seed_block(b: InstructionSequence, u: int, k: int, scan_bound: int = 10
         if len({v.components for v in bases}) != cells:
             continue
         return lp
-    raise ValueError(f"no seed block found among the first {scan_bound + 1} candidate centers")
+    raise ValueError(f"no seed block found among the first {SEED_SCAN_BOUND + 1} candidate centers")
 
 
 def alpha_sequence(base: list[DeltaVector]) -> list[int]:
@@ -419,6 +427,12 @@ def construct_antipower(b: InstructionSequence, m: int) -> AntipowerCertificate:
     base_starts = [lp + i * width for i in range(cells)]
     base_vectors = [delta_vector(b, s, width, cells) for s in base_starts]
     alphas = alpha_sequence(base_vectors)
+    steps = sum(alphas) - 1
+    if steps > MAX_ADDITIVITY_STEPS:
+        raise ValueError(
+            f"order {m} needs {steps} additivity steps, "
+            f"over the budget of {MAX_ADDITIVITY_STEPS} (MAX_ADDITIVITY_STEPS)"
+        )
 
     start, d = base_starts[0], width
     total = base_vectors[0]

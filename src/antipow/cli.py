@@ -11,7 +11,8 @@ import argparse
 import json
 import sys
 
-# abelian_complexity and factor_complexity are unused here: the bench tracer wraps them as cli attributes
+# abelian_complexity, factor_complexity and avoidance_scan are unused here: the
+# bench tracer wraps them as cli attributes
 from .abelian import abelian_complexity, complexity_table, factor_complexity
 from .calculus import (
     additivity_combine,
@@ -20,7 +21,7 @@ from .calculus import (
     delta_interval,
     delta_vector,
 )
-from .scan import ScanHit, avoidance_scan, find_first
+from .scan import avoidance_scan, find_first
 from .words import (
     FiniteWord,
     InstructionSequence,
@@ -66,23 +67,17 @@ def _build_word(word: str, instructions: InstructionSequence | None, length: int
         return sierpinski_prefix(length)
     if word == "thue-morse":
         return morphism_prefix(THUE_MORSE_MORPHISM, "0", length)
-    if instructions is None:
-        raise ValueError("paperfolding requires an instruction string such as '(+)'")
     return toeplitz_paperfolding_prefix(instructions, length)
 
 
 def _resolve_instructions(args) -> InstructionSequence | None:
-    """Merge the optional positional and the --instructions flag."""
-    positional = getattr(args, "instructions_pos", None)
-    flagged = args.instructions
-    if positional is not None and flagged is not None and positional != flagged:
-        raise ValueError("instructions given twice with different values")
-    text = flagged if flagged is not None else positional
+    """Parse the instruction string: paperfolding needs one, the other words take none."""
+    text = args.instructions
     word = getattr(args, "word", None)
     if word == "paperfolding":
         if text is None:
             raise ValueError("paperfolding requires an instruction string such as '(+)'")
-    elif word in ("sierpinski", "thue-morse") and text is not None:
+    elif word is not None and text is not None:
         raise ValueError(f"{word} takes no instruction string")
     return InstructionSequence.parse(text) if text is not None else None
 
@@ -120,28 +115,21 @@ def cmd_complexity(args) -> int:
     return 0
 
 
-def _format_hit(hit: ScanHit, fmt: str | None) -> str:
-    if fmt == "text":
-        return f"start={hit.start} d={hit.cell_width} m={hit.order} kind={hit.kind}"
-    return hit.to_json()
-
-
 def cmd_scan(args) -> int:
     if args.order < 2:
         raise ValueError("--order must be >= 2")
     if args.avoidance and args.d_max is not None:
         raise ValueError("--d-max cannot be combined with --avoidance, which checks every width")
     w = _build_word(args.word, args.instructions, args.length)
-    kind = args.kind.replace("-", "_")
-    if args.avoidance:
-        if avoidance_scan(w, args.order, kind):
-            _emit("none found: avoidance verified", args.output)
-        else:
-            hit = find_first(w, args.order, kind)
-            _emit(_format_hit(hit, args.fmt), args.output)
-        return 0
-    hit = find_first(w, args.order, kind, d_max=args.d_max)
-    _emit("none" if hit is None else _format_hit(hit, args.fmt), args.output)
+    # with no hit, find_first has looked at every split, which verifies avoidance
+    hit = find_first(w, args.order, args.kind.replace("-", "_"), d_max=args.d_max)
+    if hit is None:
+        text = "none found: avoidance verified" if args.avoidance else "none"
+    elif args.fmt == "text":
+        text = f"start={hit.start} d={hit.cell_width} m={hit.order} kind={hit.kind}"
+    else:
+        text = hit.to_json()
+    _emit(text, args.output)
     return 0
 
 
@@ -153,52 +141,55 @@ def cmd_construct(args) -> int:
     return 0 if cert.verified else 3
 
 
-def cmd_delta(args) -> int:
-    b = args.instructions
-    l = args.l
-    if args.combine:
-        if args.d is None or args.m is None or args.l2 is None or args.d2 is None or args.r is None:
-            raise ValueError("--combine needs --l --d --m --l2 --d2 --r")
-        report = additivity_precheck(b, l, args.d, args.l2, args.d2, args.m, args.r)
-        if not report.ok:
-            lines = ["precheck: violation"] + [f"  {v}" for v in report.violations]
-            _emit("\n".join(lines), args.output)
-            return 1
-        combined_l, combined_d = additivity_combine(b, l, args.d, args.l2, args.d2, args.m, args.r)
-        if args.fmt == "json":
-            _emit(
-                json.dumps({"ok": True, "l": str(combined_l), "d": str(combined_d)}),
-                args.output,
-            )
-        else:
-            _emit(f"precheck: ok\ncombined: l={combined_l} d={combined_d}", args.output)
-        return 0
-    if args.n is not None:
-        value = delta_interval(b, l, args.n)
-        if args.fmt == "json":
-            _emit(json.dumps({"l": str(l), "n": str(args.n), "delta": value}), args.output)
-        else:
-            _emit(str(value), args.output)
-        return 0
-    if args.d is None or args.m is None:
-        raise ValueError("need either --n (scalar) or --d and --m (vector)")
-    vec = delta_vector(b, l, args.d, args.m)
-    if args.fmt == "json":
-        _emit(
-            json.dumps(
-                {"l": str(l), "d": str(args.d), "m": args.m, "delta": list(vec.components)}
-            ),
-            args.output,
-        )
+DELTA_FLAGS = ("d", "m", "n", "l2", "d2", "r")
+
+
+def _delta_mode(args) -> str:
+    """The query the given flags select: --l2 --d2 --r the additivity
+    precheck, --n the scalar delta, otherwise the vector. It must be given
+    every flag it reads, and no other."""
+    given = {f for f in DELTA_FLAGS if getattr(args, f) is not None}
+    if given & {"l2", "d2", "r"}:
+        mode, needs = "precheck", {"d", "m", "l2", "d2", "r"}
+    elif "n" in given:
+        mode, needs = "scalar", {"n"}
     else:
-        _emit("(" + ",".join(str(c) for c in vec.components) + ")", args.output)
-    return 0
+        mode, needs = "vector", {"d", "m"}
+    if given != needs:
+        flags = lambda names: " ".join(f"--{f}" for f in DELTA_FLAGS if f in names)
+        problems = [f"{what} {flags(names)}" for what, names in
+                    (("missing", needs - given), ("unused", given - needs)) if names]
+        raise ValueError(f"the {mode} delta query takes {flags(needs)}; " + ", ".join(problems))
+    return mode
+
+
+def cmd_delta(args) -> int:
+    mode = _delta_mode(args)
+    b, l, code = args.instructions, args.l, 0
+    if mode == "precheck":
+        report = additivity_precheck(b, l, args.d, args.l2, args.d2, args.m, args.r)
+        if report.ok:
+            cl, cd = additivity_combine(b, l, args.d, args.l2, args.d2, args.m, args.r)
+            record = {"ok": True, "l": str(cl), "d": str(cd)}
+            text = f"precheck: ok\ncombined: l={cl} d={cd}"
+        else:
+            code = 1
+            record = {"ok": False, "violations": list(report.violations)}
+            text = "\n".join(["precheck: violation"] + [f"  {v}" for v in report.violations])
+    elif mode == "scalar":
+        value = delta_interval(b, l, args.n)
+        record, text = {"l": str(l), "n": str(args.n), "delta": value}, str(value)
+    else:
+        vec = delta_vector(b, l, args.d, args.m).components
+        record = {"l": str(l), "d": str(args.d), "m": args.m, "delta": list(vec)}
+        text = "(" + ",".join(map(str, vec)) + ")"
+    _emit(json.dumps(record) if args.fmt == "json" else text, args.output)
+    return code
 
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--output", help="write the result to this path instead of stdout")
-    common.add_argument("--format", choices=("json", "csv", "text"), dest="fmt")
 
     parser = argparse.ArgumentParser(
         prog="antipow",
@@ -207,25 +198,30 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(required=True)
 
+    def add_command(name, handler, summary, formats=None):
+        p = sub.add_parser(name, parents=[common], help=summary)
+        p.set_defaults(handler=handler)
+        if formats:
+            p.add_argument("--format", choices=formats, default=formats[0], dest="fmt",
+                           help=f"output format (default: {formats[0]})")
+        return p
+
     def add_word_args(p):
         p.add_argument("word", choices=WORDS)
-        p.add_argument("instructions_pos", nargs="?", metavar="INSTRUCTIONS")
-        p.add_argument("--instructions", help="instruction string, e.g. '(+)' or '+-(-)'")
+        p.add_argument("instructions", nargs="?", metavar="INSTRUCTIONS",
+                       help="paperfolding instruction string, e.g. '(+)' or '+-(-)'")
 
-    p = sub.add_parser("generate", parents=[common], help="print a prefix of a word")
-    p.set_defaults(handler=cmd_generate)
+    p = add_command("generate", cmd_generate, "print a prefix of a word")
     add_word_args(p)
     p.add_argument("--length", type=int, required=True)
 
-    p = sub.add_parser("complexity", parents=[common], help="emit a complexity table")
-    p.set_defaults(handler=cmd_complexity)
+    p = add_command("complexity", cmd_complexity, "emit a complexity table", ("csv", "json"))
     add_word_args(p)
     p.add_argument("--max-n", type=int, required=True, dest="max_n")
     p.add_argument("--kind", choices=("abelian", "factor"), default="abelian")
     p.add_argument("--length", type=int, help="prefix length (default chosen per word)")
 
-    p = sub.add_parser("scan", parents=[common], help="search for (anti)power occurrences")
-    p.set_defaults(handler=cmd_scan)
+    p = add_command("scan", cmd_scan, "search for (anti)power occurrences", ("json", "text"))
     add_word_args(p)
     p.add_argument("--length", type=int, required=True)
     p.add_argument("--order", type=int, required=True)
@@ -237,22 +233,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d-max", type=int, dest="d_max")
     p.add_argument("--avoidance", action="store_true", help="verify absence over every split")
 
-    p = sub.add_parser("construct", parents=[common], help="synthesize an abelian antipower certificate")
-    p.set_defaults(handler=cmd_construct)
+    p = add_command("construct", cmd_construct, "synthesize an abelian antipower certificate")
     p.add_argument("--instructions", required=True)
     p.add_argument("--order", type=int, required=True)
 
-    p = sub.add_parser("delta", parents=[common], help="delta vectors and the additivity precheck")
-    p.set_defaults(handler=cmd_delta)
+    p = add_command("delta", cmd_delta, "delta vectors and the additivity precheck", ("text", "json"))
     p.add_argument("--instructions", required=True)
     p.add_argument("--l", type=int, required=True)
-    p.add_argument("--d", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--combine", action="store_true")
-    p.add_argument("--l2", type=int)
-    p.add_argument("--d2", type=int)
-    p.add_argument("--r", type=int)
+    for flag in DELTA_FLAGS:
+        p.add_argument(f"--{flag}", type=int)
 
     return parser
 

@@ -92,10 +92,15 @@ class FiniteWord:
             size *= 2
         return tuple(levels)
 
+    def _check_width(self, d: int) -> None:
+        if not 1 <= d <= len(self):
+            raise ValueError(f"factor length {d} out of range 1..{len(self)}")
+
     def factor_keys(self, d: int) -> np.ndarray:
         """One integer per length-d factor, in order of position, equal
         exactly when the factors are equal. For d a power of two the keys
         are the dense ranks of a rank level."""
+        self._check_width(d)
         j = d.bit_length() - 1
         level = self.rank_levels[j]
         if (1 << j) == d:
@@ -110,6 +115,7 @@ class FiniteWord:
         exactly when the factors have the same Parikh vector: the count of
         the second letter over a binary alphabet (the length fixes the
         rest), otherwise the dense rank of the Parikh vector."""
+        self._check_width(d)
         cum = self.cum_counts
         if len(self.alphabet) == 2:
             return cum[d:, 1] - cum[:-d, 1]

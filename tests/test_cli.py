@@ -1,5 +1,7 @@
 import json
+import shlex
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,7 +12,7 @@ from antipow import (
     sierpinski_prefix,
     verify_certificate,
 )
-from antipow.cli import _build_word, _ceil_log3, main
+from antipow.cli import _ceil_log3, main
 
 REGULAR_32 = "00100110001101100010011100110110"
 
@@ -26,9 +28,7 @@ def test_generate_sierpinski(capsys):
     assert code == 0 and out == "ababbbabab\n"
 
 
-def test_generate_paperfolding_flag_and_positional(capsys):
-    code, out, _ = run(capsys, "generate", "paperfolding", "--instructions", "(+)", "--length", "32")
-    assert code == 0 and out == REGULAR_32 + "\n"
+def test_generate_paperfolding_positional(capsys):
     code, out, _ = run(capsys, "generate", "paperfolding", "(+)", "--length", "32")
     assert code == 0 and out == REGULAR_32 + "\n"
 
@@ -39,7 +39,7 @@ def test_generate_thue_morse(capsys):
 
 
 def test_generate_parse_failure_exits_2(capsys):
-    code, _, err = run(capsys, "generate", "paperfolding", "--instructions", "bad", "--length", "4")
+    code, _, err = run(capsys, "generate", "paperfolding", "bad", "--length", "4")
     assert code == 2 and "bad" in err
 
 
@@ -50,11 +50,6 @@ def test_generate_missing_instructions_exits_2(capsys):
 
 def test_generate_rejects_instructions_for_sierpinski(capsys):
     code, _, err = run(capsys, "generate", "sierpinski", "(+)", "--length", "4")
-    assert code == 2
-
-
-def test_generate_conflicting_instructions(capsys):
-    code, _, _ = run(capsys, "generate", "paperfolding", "(-)", "--instructions", "(+)", "--length", "4")
     assert code == 2
 
 
@@ -88,8 +83,7 @@ def test_complexity_thue_morse_bounded(capsys):
 
 def test_complexity_paperfolding_factor_kind(capsys):
     code, out, _ = run(
-        capsys, "complexity", "paperfolding", "--instructions", "(+)",
-        "--kind", "factor", "--max-n", "10",
+        capsys, "complexity", "paperfolding", "(+)", "--kind", "factor", "--max-n", "10",
     )
     assert code == 0
     rows = dict(tuple(map(int, line.split(","))) for line in out.splitlines()[1:])
@@ -121,7 +115,12 @@ def test_scan_finds_hit_json(capsys):
     assert hit["m"] == 4 and hit["kind"] == "abelian_antipower"
 
 
-def test_scan_avoidance_verified(capsys):
+def test_scan_avoidance_verified(capsys, monkeypatch):
+    def second_scan(*args):
+        raise AssertionError("avoidance_scan was called")
+
+    # the one find_first pass verifies avoidance
+    monkeypatch.setattr("antipow.cli.avoidance_scan", second_scan)
     code, out, _ = run(
         capsys, "scan", "sierpinski", "--length", str(3**7), "--order", "11",
         "--kind", "antipower", "--avoidance",
@@ -136,6 +135,14 @@ def test_scan_avoidance_failure_prints_witness(capsys):
     )
     assert code == 0
     assert json.loads(out)["kind"] == "antipower"
+
+
+def test_scan_text_format(capsys):
+    code, out, _ = run(
+        capsys, "scan", "paperfolding", "(+)", "--length", "64", "--order", "2",
+        "--kind", "antipower", "--format", "text",
+    )
+    assert code == 0 and out == "start=1 d=2 m=2 kind=antipower\n"
 
 
 def test_scan_none_result(capsys):
@@ -193,9 +200,14 @@ def test_construct_order_eight_prints_and_round_trips(capsys):
     assert cert.to_json() + "\n" == out
 
 
-def test_build_word_paperfolding_needs_instructions():
-    with pytest.raises(ValueError, match="instruction string"):
-        _build_word("paperfolding", None, 8)
+def test_construct_refuses_order_over_step_budget(capsys, monkeypatch):
+    def no_step(*args, **kwargs):
+        raise AssertionError("an additivity step was taken")
+
+    monkeypatch.setattr("antipow.calculus.additivity_combine", no_step)
+    code, out, err = run(capsys, "construct", "--instructions", "(+)", "--order", "9")
+    assert code == 2 and out == ""
+    assert "21523359 additivity steps" in err and "MAX_ADDITIVITY_STEPS" in err
 
 
 def test_construct_rejects_order_one(capsys):
@@ -215,15 +227,26 @@ def test_delta_scalar_output(capsys):
 
 def test_delta_combine_violation_exits_1(capsys):
     code, out, _ = run(
-        capsys, "delta", "--instructions", "(+)", "--combine", "--l", "0", "--d", "2",
+        capsys, "delta", "--instructions", "(+)", "--l", "0", "--d", "2",
         "--m", "2", "--l2", "0", "--d2", "2", "--r", "2",
     )
     assert code == 1 and "(ii)" in out
 
 
+def test_delta_json_violation_exits_1(capsys):
+    code, out, _ = run(
+        capsys, "delta", "--instructions", "(+)", "--l", "0", "--d", "2",
+        "--m", "2", "--l2", "0", "--d2", "2", "--r", "2", "--format", "json",
+    )
+    assert code == 1
+    report = json.loads(out)
+    assert report["ok"] is False and len(report["violations"]) == 1
+    assert report["violations"][0].startswith("(ii)")
+
+
 def test_delta_combine_ok(capsys):
     code, out, _ = run(
-        capsys, "delta", "--instructions", "(+)", "--combine", "--l", "0", "--d", "2",
+        capsys, "delta", "--instructions", "(+)", "--l", "0", "--d", "2",
         "--m", "2", "--l2", "0", "--d2", "2", "--r", "4",
     )
     assert code == 0
@@ -233,6 +256,15 @@ def test_delta_combine_ok(capsys):
 def test_delta_missing_geometry_exits_2(capsys):
     code, _, _ = run(capsys, "delta", "--instructions", "(+)", "--l", "0")
     assert code == 2
+
+
+def test_delta_mode_errors_name_the_flags(capsys):
+    code, _, err = run(capsys, "delta", "--instructions", "(+)", "--l", "0", "--n", "14", "--d", "2")
+    assert code == 2 and "unused --d" in err
+    code, _, err = run(
+        capsys, "delta", "--instructions", "(+)", "--l", "0", "--m", "2", "--l2", "6", "--d2", "2"
+    )
+    assert code == 2 and "missing --d --r" in err
 
 
 def test_output_flag_writes_file(tmp_path, capsys):
@@ -252,3 +284,35 @@ def test_byte_identical_reruns(capsys):
 
 def test_usage_error_unknown_command(capsys):
     assert main(["frobnicate"]) == 2
+
+
+SCAN = ("scan", "sierpinski", "--length", "100", "--order", "3", "--kind", "antipower")
+DELTA = ("delta", "--instructions", "(+)", "--l", "0")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("generate", "sierpinski", "--length", "4", "--format", "json"),
+        ("construct", "--instructions", "(+)", "--order", "2", "--format", "csv"),
+        SCAN + ("--format", "csv"),
+        ("complexity", "sierpinski", "--max-n", "3", "--format", "text"),
+        DELTA + ("--d", "2", "--m", "2", "--format", "csv"),
+        ("generate", "paperfolding", "--instructions", "(+)", "--length", "4"),
+        DELTA + ("--combine", "--d", "2", "--m", "2", "--l2", "6", "--d2", "2", "--r", "4"),
+        DELTA + ("--n", "14", "--d", "2", "--m", "2"),
+        DELTA + ("--d", "2", "--m", "2", "--l2", "6"),
+    ],
+    ids=" ".join,
+)
+def test_unread_option_exits_2(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 2 and out == ""
+
+
+def test_readme_cli_examples_run(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    lines = readme.split("## CLI\n\n```\n", 1)[1].split("```", 1)[0].splitlines()
+    assert lines and all(line.startswith("antipow ") for line in lines)
+    for line in lines:
+        assert main(shlex.split(line)[1:]) == 0, line

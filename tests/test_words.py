@@ -185,6 +185,16 @@ def test_finite_word_validation():
         FiniteWord((), b"")
 
 
+@pytest.mark.parametrize("method", ["factor_keys", "abelian_keys"])
+def test_key_methods_reject_widths_outside_the_word(method):
+    w = morphism_prefix(THUE_MORSE_MORPHISM, "0", 16)
+    keys = getattr(w, method)
+    for d in (0, len(w) + 1, 2 * len(w) + 8):
+        with pytest.raises(ValueError, match="out of range"):
+            keys(d)
+    assert len(keys(1)) == 16 and len(keys(len(w))) == 1
+
+
 def test_random_instruction_sequences_oracle_consistency():
     rng = random.Random(7)
     for _ in range(5):
