@@ -1,61 +1,142 @@
 """Structured infinite words: generation, abelian analysis, antipower
-scanning, and certified synthesis of abelian antipower occurrences."""
+scanning, and certified synthesis of abelian antipower occurrences.
 
-from .abelian import (
-    ComplexityTable,
-    abelian_complexity,
-    complexity_table,
-    cyclic_shift_spectrum,
-    factor_complexity,
-    is_prefix_normal,
-    parikh,
-    parikh_prefix_table,
-    phi_u,
-)
-from .calculus import (
-    AntipowerCertificate,
-    DeltaVector,
-    EVector,
-    OrderDecomposition,
-    additivity_combine,
-    additivity_precheck,
-    alpha_sequence,
-    characterize_split,
-    choose_r,
-    construct_antipower,
-    delta_interval,
-    delta_vector,
-    differing_orders,
-    e_vector,
-    epsilon,
-    find_seed_block,
-    ones_of_order_in_interval,
-    ones_upto,
-    order_decompose,
-    order_shift_check,
-    verify_certificate,
-)
-from .scan import (
-    BlockSplit,
-    ClassifyResult,
-    ScanHit,
-    avoidance_scan,
-    classify_block,
-    find_first,
-)
-from .words import (
-    FiniteWord,
-    InstructionSequence,
-    Morphism,
-    PAPERFOLDING_ALPHABET,
-    REGULAR,
-    SIERPINSKI_MORPHISM,
-    THUE_MORSE_MORPHISM,
-    morphism_prefix,
-    paperfolding_letter,
-    sierpinski_prefix,
-    toeplitz_paperfolding_prefix,
-)
+Submodules and the names below are imported on first access (PEP 562), so
+`import antipow` alone imports no numpy: the instruction and big-integer
+layers (`instructions`, `calculus`) never need it, the word layers do.
+"""
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+from importlib import import_module
+
+# submodule -> the public names it defines
+_EXPORTS = {
+    "abelian": (
+        "ComplexityTable",
+        "abelian_complexity",
+        "complexity_table",
+        "cyclic_shift_spectrum",
+        "factor_complexity",
+        "is_prefix_normal",
+        "parikh",
+        "parikh_prefix_table",
+        "phi_u",
+    ),
+    "calculus": (
+        "AntipowerCertificate",
+        "DeltaVector",
+        "EVector",
+        "OrderDecomposition",
+        "additivity_combine",
+        "additivity_precheck",
+        "alpha_sequence",
+        "characterize_split",
+        "choose_r",
+        "construct_antipower",
+        "delta_interval",
+        "delta_vector",
+        "differing_orders",
+        "e_vector",
+        "epsilon",
+        "find_seed_block",
+        "ones_of_order_in_interval",
+        "ones_upto",
+        "order_decompose",
+        "order_shift_check",
+        "verify_certificate",
+    ),
+    "instructions": (
+        "InstructionSequence",
+        "PAPERFOLDING_ALPHABET",
+        "REGULAR",
+        "paperfolding_letter",
+    ),
+    "scan": (
+        "BlockSplit",
+        "ClassifyResult",
+        "ScanHit",
+        "avoidance_scan",
+        "classify_block",
+        "find_first",
+    ),
+    "words": (
+        "FiniteWord",
+        "Morphism",
+        "SIERPINSKI_MORPHISM",
+        "THUE_MORSE_MORPHISM",
+        "morphism_prefix",
+        "sierpinski_prefix",
+        "toeplitz_paperfolding_prefix",
+    ),
+}
+_ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
+_SUBMODULES = ("abelian", "calculus", "cli", "instructions", "scan", "words")
+
+__all__ = [
+    "AntipowerCertificate",
+    "BlockSplit",
+    "ClassifyResult",
+    "ComplexityTable",
+    "DeltaVector",
+    "EVector",
+    "FiniteWord",
+    "InstructionSequence",
+    "Morphism",
+    "OrderDecomposition",
+    "PAPERFOLDING_ALPHABET",
+    "REGULAR",
+    "SIERPINSKI_MORPHISM",
+    "ScanHit",
+    "THUE_MORSE_MORPHISM",
+    "abelian",
+    "abelian_complexity",
+    "additivity_combine",
+    "additivity_precheck",
+    "alpha_sequence",
+    "avoidance_scan",
+    "calculus",
+    "characterize_split",
+    "choose_r",
+    "classify_block",
+    "complexity_table",
+    "construct_antipower",
+    "cyclic_shift_spectrum",
+    "delta_interval",
+    "delta_vector",
+    "differing_orders",
+    "e_vector",
+    "epsilon",
+    "factor_complexity",
+    "find_first",
+    "find_seed_block",
+    "is_prefix_normal",
+    "morphism_prefix",
+    "ones_of_order_in_interval",
+    "ones_upto",
+    "order_decompose",
+    "order_shift_check",
+    "paperfolding_letter",
+    "parikh",
+    "parikh_prefix_table",
+    "phi_u",
+    "scan",
+    "sierpinski_prefix",
+    "toeplitz_paperfolding_prefix",
+    "verify_certificate",
+    "words",
+]
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        value = import_module(f".{name}", __name__)
+    elif name in _ORIGIN:
+        value = getattr(import_module(f".{_ORIGIN[name]}", __name__), name)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_ORIGIN, *_SUBMODULES})

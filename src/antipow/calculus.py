@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Iterable
 
-from .words import InstructionSequence, paperfolding_letter
+from .instructions import InstructionSequence, paperfolding_letter
 
 # candidate block centers find_seed_block tries before giving up
 SEED_SCAN_BOUND = 1024

@@ -10,10 +10,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from importlib import import_module
 
-# abelian_complexity, factor_complexity and avoidance_scan are unused here: the
-# bench tracer wraps them as cli attributes
-from .abelian import abelian_complexity, complexity_table, factor_complexity
 from .calculus import (
     additivity_combine,
     additivity_precheck,
@@ -21,15 +19,40 @@ from .calculus import (
     delta_interval,
     delta_vector,
 )
-from .scan import avoidance_scan, find_first
-from .words import (
-    FiniteWord,
-    InstructionSequence,
-    THUE_MORSE_MORPHISM,
-    morphism_prefix,
-    sierpinski_prefix,
-    toeplitz_paperfolding_prefix,
-)
+from .instructions import InstructionSequence
+
+# Names from the word layers, which import numpy. `_load_numpy_layers` binds
+# them here when a word is built or one is read as a module attribute, so
+# construct and delta start without numpy. A name already bound wins: the
+# bench tracer and tests replace these as attributes of this module, and
+# abelian_complexity, factor_complexity and avoidance_scan are listed only
+# for the tracer to wrap.
+_NUMPY_LAYERS = {
+    "abelian": ("abelian_complexity", "complexity_table", "factor_complexity"),
+    "scan": ("avoidance_scan", "find_first"),
+    "words": (
+        "FiniteWord",
+        "THUE_MORSE_MORPHISM",
+        "morphism_prefix",
+        "sierpinski_prefix",
+        "toeplitz_paperfolding_prefix",
+    ),
+}
+
+
+def _load_numpy_layers() -> None:
+    for module, names in _NUMPY_LAYERS.items():
+        layer = import_module(f".{module}", __package__)
+        for name in names:
+            globals().setdefault(name, getattr(layer, name))
+
+
+def __getattr__(name: str):
+    if any(name in names for names in _NUMPY_LAYERS.values()):
+        _load_numpy_layers()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 WORDS = ("sierpinski", "thue-morse", "paperfolding")
 
@@ -63,6 +86,7 @@ def _next_pow2(n: int) -> int:
 def _build_word(word: str, instructions: InstructionSequence | None, length: int) -> FiniteWord:
     if length < 1:
         raise ValueError("length must be >= 1")
+    _load_numpy_layers()
     if word == "sierpinski":
         return sierpinski_prefix(length)
     if word == "thue-morse":
@@ -193,13 +217,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     parser = argparse.ArgumentParser(
         prog="antipow",
+        allow_abbrev=False,
         description="Generate structured words, analyze their abelian structure, "
         "scan for (anti)powers and synthesize verified abelian antipowers.",
     )
     sub = parser.add_subparsers(required=True)
 
     def add_command(name, handler, summary, formats=None):
-        p = sub.add_parser(name, parents=[common], help=summary)
+        p = sub.add_parser(name, parents=[common], help=summary, allow_abbrev=False)
         p.set_defaults(handler=handler)
         if formats:
             p.add_argument("--format", choices=formats, default=formats[0], dest="fmt",

@@ -1,0 +1,70 @@
+"""Paperfolding instruction sequences and the closed-form letter oracle.
+
+This module needs no numpy, so the big-integer layer (`calculus`) and the
+commands built on it start without importing it.
+"""
+
+from __future__ import annotations
+
+import re
+from dataclasses import dataclass
+
+_INSTRUCTION_RE = re.compile(r"^([+-]*)\(([+-]+)\)$")
+
+
+@dataclass(frozen=True)
+class InstructionSequence:
+    """Eventually periodic sequence over {+1, -1}: the folding instructions
+    b_0 b_1 b_2 ... of a paperfolding word."""
+
+    preperiod: tuple[int, ...]
+    period: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        if not self.period:
+            raise ValueError("period must be nonempty")
+        if any(v not in (1, -1) for v in self.preperiod + self.period):
+            raise ValueError("instructions must be +1 or -1")
+
+    def at(self, k: int) -> int:
+        """Instruction b_k (0-indexed)."""
+        if k < 0:
+            raise ValueError("instruction index must be >= 0")
+        if k < len(self.preperiod):
+            return self.preperiod[k]
+        return self.period[(k - len(self.preperiod)) % len(self.period)]
+
+    @classmethod
+    def parse(cls, text: str) -> "InstructionSequence":
+        """Parse the PRE(PER) grammar, e.g. '(+)', '(-+)', '+-(-)'."""
+        normalized = text.replace("−", "-").strip()
+        m = _INSTRUCTION_RE.match(normalized)
+        if m is None:
+            raise ValueError(
+                f"bad instruction string {text!r}: expected PRE(PER) with PRE, PER over +/- and PER nonempty"
+            )
+        as_ints = lambda s: tuple(1 if ch == "+" else -1 for ch in s)
+        return cls(as_ints(m.group(1)), as_ints(m.group(2)))
+
+    def __str__(self) -> str:
+        sign = lambda vs: "".join("+" if v == 1 else "-" for v in vs)
+        return f"{sign(self.preperiod)}({sign(self.period)})"
+
+
+REGULAR = InstructionSequence((), (1,))
+
+PAPERFOLDING_ALPHABET = ("0", "1")
+
+
+def paperfolding_letter(b: InstructionSequence, i: int) -> int:
+    """Letter at position i >= 1 of the paperfolding word with instructions b.
+
+    Write i = 2^k(2j+1); the letter is 1 exactly when (-1)^j b_k = -1.
+    Positions are unbounded: i may be arbitrarily large.
+    """
+    if i < 1:
+        raise ValueError("positions are 1-based")
+    k = (i & -i).bit_length() - 1
+    j = ((i >> k) - 1) >> 1
+    bk = b.at(k)
+    return 1 if (bk if j % 2 == 0 else -bk) == -1 else 0

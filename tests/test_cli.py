@@ -163,6 +163,18 @@ def test_no_command_takes_threads(capsys):
     assert code == 2 and out == ""
 
 
+def test_replaced_word_layer_name_wins(capsys, monkeypatch):
+    calls = []
+
+    def no_hit(w, m, kind, d_max=None):
+        calls.append(len(w))
+
+    monkeypatch.setattr("antipow.cli.find_first", no_hit)
+    code, out, _ = run(capsys, "scan", "sierpinski", "--length", "100", "--order", "3",
+                       "--kind", "antipower")
+    assert code == 0 and out == "none\n" and calls == [100]
+
+
 def test_scan_rejects_d_max_with_avoidance(capsys, monkeypatch):
     def no_word(*args):
         raise AssertionError("a word was built")
@@ -306,6 +318,21 @@ DELTA = ("delta", "--instructions", "(+)", "--l", "0")
     ids=" ".join,
 )
 def test_unread_option_exits_2(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 2 and out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("complexity", "sierpinski", "--max-n", "2", "--form", "json"),
+        ("construct", "--instr", "(+)", "--order", "2"),
+        ("scan", "paperfolding", "(+)", "--length", "64", "--order", "2", "--kind", "antipower",
+         "--d", "1"),
+    ],
+    ids=" ".join,
+)
+def test_abbreviated_option_exits_2(capsys, argv):
     code, out, _ = run(capsys, *argv)
     assert code == 2 and out == ""
 

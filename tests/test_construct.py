@@ -1,4 +1,5 @@
 import dataclasses
+import sys
 
 import pytest
 
@@ -90,6 +91,13 @@ def test_certificate_json_round_trip():
     cert = construct_antipower(ALT, 3)
     again = AntipowerCertificate.from_json(cert.to_json())
     assert again == cert
+
+
+def test_certificate_json_round_trip_without_digit_limit(monkeypatch):
+    # interpreters before 3.10.7 have no digit limit and no setter for it
+    monkeypatch.delattr(sys, "set_int_max_str_digits")
+    cert = construct_antipower(REGULAR, 4)
+    assert AntipowerCertificate.from_json(cert.to_json()) == cert
 
 
 def test_certificate_json_uses_decimal_strings():

@@ -1,0 +1,91 @@
+"""The package's public names load on first use, and the big-integer
+commands (`construct`, `delta`) start without importing numpy."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import antipow
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+ENV = {**os.environ, "PYTHONPATH": str(SRC)}
+
+DELTA = ["delta", "--instructions", "(+)", "--l", "0", "--n", "14"]
+CONSTRUCT = ["construct", "--instructions", "(+)", "--order", "4"]
+GENERATE = ["generate", "sierpinski", "--length", "8"]
+
+# what `from antipow import *` bound when every layer was imported eagerly
+PUBLIC_NAMES = [
+    "AntipowerCertificate", "BlockSplit", "ClassifyResult", "ComplexityTable",
+    "DeltaVector", "EVector", "FiniteWord", "InstructionSequence", "Morphism",
+    "OrderDecomposition", "PAPERFOLDING_ALPHABET", "REGULAR", "SIERPINSKI_MORPHISM",
+    "ScanHit", "THUE_MORSE_MORPHISM", "abelian", "abelian_complexity",
+    "additivity_combine", "additivity_precheck", "alpha_sequence", "avoidance_scan",
+    "calculus", "characterize_split", "choose_r", "classify_block", "complexity_table",
+    "construct_antipower", "cyclic_shift_spectrum", "delta_interval", "delta_vector",
+    "differing_orders", "e_vector", "epsilon", "factor_complexity", "find_first",
+    "find_seed_block", "is_prefix_normal", "morphism_prefix", "ones_of_order_in_interval",
+    "ones_upto", "order_decompose", "order_shift_check", "paperfolding_letter", "parikh",
+    "parikh_prefix_table", "phi_u", "scan", "sierpinski_prefix",
+    "toeplitz_paperfolding_prefix", "verify_certificate", "words",
+]
+
+
+def numpy_imported_after(code: str) -> bool:
+    """Run code in a fresh interpreter and report whether it imported numpy."""
+    script = f"{code}\nimport sys\nprint('numpy' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=ENV, capture_output=True, text=True, check=True
+    )
+    return proc.stdout.splitlines()[-1] == "True"
+
+
+@pytest.mark.parametrize(
+    "code, imported",
+    [
+        ("import antipow", False),
+        ("import antipow.cli", False),
+        ("import antipow\nantipow.InstructionSequence.parse('(+)')", False),
+        (f"from antipow.cli import main\nif main({DELTA!r}) != 0: raise SystemExit(1)", False),
+        (f"from antipow.cli import main\nif main({CONSTRUCT!r}) != 0: raise SystemExit(1)", False),
+        (f"from antipow.cli import main\nif main({GENERATE!r}) != 0: raise SystemExit(1)", True),
+    ],
+    ids=["import", "import cli", "instructions", "main delta", "main construct", "main generate"],
+)
+def test_numpy_is_imported_only_by_the_word_layers(code, imported):
+    assert numpy_imported_after(code) is imported
+
+
+@pytest.mark.parametrize(
+    "argv, imported",
+    [(DELTA, False), (CONSTRUCT, False), (GENERATE, True)],
+    ids=["delta", "construct", "generate"],
+)
+def test_module_entry_point_imports_numpy_only_for_word_commands(argv, imported):
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "antipow.cli", *argv],
+        env=ENV, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    modules = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
+    assert ("numpy" in modules) is imported
+
+
+def test_star_import_binds_the_public_names():
+    namespace = {}
+    exec("from antipow import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == sorted(PUBLIC_NAMES)
+    assert sorted(antipow.__all__) == sorted(PUBLIC_NAMES)
+
+
+def test_every_listed_name_resolves():
+    for name in [*antipow.__all__, *dir(antipow)]:
+        getattr(antipow, name)
+    assert {"cli", "instructions"} <= set(dir(antipow))
+    assert antipow.words.InstructionSequence is antipow.instructions.InstructionSequence
+    assert antipow.calculus.paperfolding_letter is antipow.words.paperfolding_letter
+    with pytest.raises(AttributeError):
+        antipow.no_such_name
