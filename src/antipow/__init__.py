@@ -69,61 +69,10 @@ _EXPORTS = {
     ),
 }
 _ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
-_SUBMODULES = ("abelian", "calculus", "cli", "instructions", "scan", "words")
+_SUBMODULES = (*_EXPORTS, "cli")
 
-__all__ = [
-    "AntipowerCertificate",
-    "BlockSplit",
-    "ClassifyResult",
-    "ComplexityTable",
-    "DeltaVector",
-    "EVector",
-    "FiniteWord",
-    "InstructionSequence",
-    "Morphism",
-    "OrderDecomposition",
-    "PAPERFOLDING_ALPHABET",
-    "REGULAR",
-    "SIERPINSKI_MORPHISM",
-    "ScanHit",
-    "THUE_MORSE_MORPHISM",
-    "abelian",
-    "abelian_complexity",
-    "additivity_combine",
-    "additivity_precheck",
-    "alpha_sequence",
-    "avoidance_scan",
-    "calculus",
-    "characterize_split",
-    "choose_r",
-    "classify_block",
-    "complexity_table",
-    "construct_antipower",
-    "cyclic_shift_spectrum",
-    "delta_interval",
-    "delta_vector",
-    "differing_orders",
-    "e_vector",
-    "epsilon",
-    "factor_complexity",
-    "find_first",
-    "find_seed_block",
-    "is_prefix_normal",
-    "morphism_prefix",
-    "ones_of_order_in_interval",
-    "ones_upto",
-    "order_decompose",
-    "order_shift_check",
-    "paperfolding_letter",
-    "parikh",
-    "parikh_prefix_table",
-    "phi_u",
-    "scan",
-    "sierpinski_prefix",
-    "toeplitz_paperfolding_prefix",
-    "verify_certificate",
-    "words",
-]
+# a star import binds the four layer modules too, not `instructions` or `cli`
+__all__ = [*_ORIGIN, "abelian", "calculus", "scan", "words"]
 __version__ = "0.1.0"
 
 

@@ -200,19 +200,21 @@ def characterize_split(b: InstructionSequence, l: int, d: int, m: int) -> str:
     return "neither"
 
 
-@lru_cache(maxsize=4096)
 def differing_orders(b: InstructionSequence, l: int, d: int, m: int) -> frozenset[int]:
     """Orders whose per-cell excess pattern on (l, d, m) depends on the
-    instruction bit. Orders above bitlength(l + m*d) + 2 give the all-zero
-    pattern under both bits and never qualify."""
-    top = (l + m * d).bit_length() + 2
-    out = []
-    for k in range(top + 1):
-        plus = e_vector(b, k, 1, l, d, m).components
-        minus = e_vector(b, k, -1, l, d, m).components
-        if plus != minus:
-            out.append(k)
-    return frozenset(out)
+    instruction bit. The set does not depend on b.
+
+    Up to n, the order-k ones under b_k = +1 and under b_k = -1 differ in
+    count exactly when bit k of the Gray code G(n) = n ^ (n >> 1) is set, so
+    a cell (a, n) tells the two bits apart at the set bits of
+    G(a) ^ G(n) = G(a ^ n).
+    """
+    _check_geometry(l, d, m)
+    mask = 0
+    for t in range(m):
+        x = (l + t * d) ^ (l + (t + 1) * d)
+        mask |= x ^ (x >> 1)
+    return frozenset(k for k, bit in enumerate(reversed(bin(mask)[2:])) if bit == "1")
 
 
 @dataclass(frozen=True)
@@ -420,8 +422,18 @@ def construct_antipower(b: InstructionSequence, m: int) -> AntipowerCertificate:
     if m < 2:
         raise ValueError("order must be >= 2")
     k = (m - 1).bit_length()
-    u = len(b.preperiod) + 1
     cells = 1 << k
+    # every cell delta of width 2^u is 0, 1 or 2, so at most 3 of the 2^k
+    # distinct base vectors are constant; each other one has spread >= 1 and
+    # at least doubles the weights after it, so the steps exceed 2^(2^k - 3),
+    # which is over the budget from k = 5 on: refuse before the seed search
+    if cells - 3 >= MAX_ADDITIVITY_STEPS.bit_length():
+        raise ValueError(
+            f"order {m} needs at least 2^(2^{k} - 3) + 1 additivity steps "
+            f"(2^{k} distinct base vectors, at most 3 of them constant), "
+            f"over the budget of {MAX_ADDITIVITY_STEPS} (MAX_ADDITIVITY_STEPS)"
+        )
+    u = len(b.preperiod) + 1
     width = 1 << u
     lp = find_seed_block(b, u, k)
     base_starts = [lp + i * width for i in range(cells)]
@@ -435,22 +447,24 @@ def construct_antipower(b: InstructionSequence, m: int) -> AntipowerCertificate:
         )
 
     start, d = base_starts[0], width
-    total = base_vectors[0]
     for i in range(cells):
         copies = alphas[i] - (1 if i == 0 else 0)
         orders = differing_orders(b, base_starts[i], width, cells)
         for _ in range(copies):
             r = choose_r(b, start + cells * d, orders)
             start, d = additivity_combine(b, start, d, base_starts[i], width, cells, r)
-            total = total + base_vectors[i]
 
+    total = tuple(
+        sum(a * v.components[t] for a, v in zip(alphas, base_vectors)) for t in range(cells)
+    )
     final = delta_vector(b, start, d, cells)
-    if final != total:
-        raise ArithmeticError("assembled delta vector does not match the accumulated sum")
+    if final.components != total:
+        raise ArithmeticError("assembled delta vector does not match the weighted sum")
     if not final.pairwise_distinct():
         raise ArithmeticError("assembled delta vector is not pairwise distinct")
 
-    counts = tuple(_interval_ones(b, start + t * d, start + (t + 1) * d) for t in range(m))
+    # a cell's one-count is its delta plus the baseline of its width
+    counts = tuple(c + _baseline(d) for c in final.components[:m])
     cert = AntipowerCertificate(
         instructions=b,
         m=m,

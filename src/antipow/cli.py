@@ -22,33 +22,26 @@ from .calculus import (
 from .instructions import InstructionSequence
 
 # Names from the word layers, which import numpy. `_load_numpy_layers` binds
-# them here when a word is built or one is read as a module attribute, so
-# construct and delta start without numpy. A name already bound wins: the
-# bench tracer and tests replace these as attributes of this module, and
-# abelian_complexity, factor_complexity and avoidance_scan are listed only
-# for the tracer to wrap.
-_NUMPY_LAYERS = {
-    "abelian": ("abelian_complexity", "complexity_table", "factor_complexity"),
-    "scan": ("avoidance_scan", "find_first"),
-    "words": (
-        "FiniteWord",
-        "THUE_MORSE_MORPHISM",
-        "morphism_prefix",
-        "sierpinski_prefix",
-        "toeplitz_paperfolding_prefix",
-    ),
-}
+# them here through the package's lazy loader when a word is built or one is
+# read as a module attribute, so construct and delta start without numpy. A
+# name already bound wins: the bench tracer and tests replace these as
+# attributes of this module, and abelian_complexity, factor_complexity and
+# avoidance_scan are listed only for the tracer to wrap.
+_WORD_LAYER_NAMES = (
+    "FiniteWord", "THUE_MORSE_MORPHISM", "abelian_complexity", "avoidance_scan",
+    "complexity_table", "factor_complexity", "find_first", "morphism_prefix",
+    "sierpinski_prefix", "toeplitz_paperfolding_prefix",
+)
 
 
 def _load_numpy_layers() -> None:
-    for module, names in _NUMPY_LAYERS.items():
-        layer = import_module(f".{module}", __package__)
-        for name in names:
-            globals().setdefault(name, getattr(layer, name))
+    package = import_module(__package__)
+    for name in _WORD_LAYER_NAMES:
+        globals().setdefault(name, getattr(package, name))
 
 
 def __getattr__(name: str):
-    if any(name in names for names in _NUMPY_LAYERS.values()):
+    if name in _WORD_LAYER_NAMES:
         _load_numpy_layers()
         return globals()[name]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
@@ -158,8 +151,6 @@ def cmd_scan(args) -> int:
 
 
 def cmd_construct(args) -> int:
-    if args.order < 2:
-        raise ValueError("--order must be >= 2")
     cert = construct_antipower(args.instructions, args.order)
     _emit(cert.to_json(), args.output)
     return 0 if cert.verified else 3

@@ -84,11 +84,11 @@ def classify_block(w: FiniteWord, split: BlockSplit) -> ClassifyResult:
     )
 
 
-def _split_masks(
+def _split_starts(
     values: np.ndarray, d: int, m: int, distinct: bool, stop: int | None = None
 ) -> np.ndarray:
-    """Boolean mask over the 0-based split starts below stop (all that fit
-    when None): cells pairwise distinct (distinct=True) or all equal
+    """Ascending 0-based split starts below stop (all that fit when None)
+    whose cells are pairwise distinct (distinct=True) or all equal
     (distinct=False), judging cells by the per-window values array."""
     starts = len(values) - (m - 1) * d
     if stop is not None:
@@ -105,14 +105,12 @@ def _split_masks(
         if not alive.size:
             break
         alive = alive[keep(values[alive + i * d], values[alive + j * d])]
-    mask = np.zeros(starts, dtype=bool)
-    mask[alive] = True
-    return mask
+    return alive
 
 
-def _hit_mask(w: FiniteWord, d: int, m: int, kind: str, stop: int | None = None) -> np.ndarray:
+def _hit_starts(w: FiniteWord, d: int, m: int, kind: str, stop: int | None = None) -> np.ndarray:
     values = w.factor_keys(d) if kind in ("power", "antipower") else w.abelian_keys(d)
-    return _split_masks(values, d, m, kind.endswith("antipower"), stop)
+    return _split_starts(values, d, m, kind.endswith("antipower"), stop)
 
 
 def _check_scan_args(w: FiniteWord, m: int, kind: str) -> None:
@@ -136,9 +134,9 @@ def find_first(w: FiniteWord, m: int, kind: str, d_max: int | None = None) -> Sc
     best = None
     # a later width can only win with a smaller start than the best so far
     for d in range(1, limit + 1):
-        mask = _hit_mask(w, d, m, kind, stop=None if best is None else best[0])
-        if mask.any():
-            best = (int(mask.argmax()), d)
+        alive = _hit_starts(w, d, m, kind, stop=None if best is None else best[0])
+        if alive.size:
+            best = (int(alive[0]), d)
             if best[0] == 0:
                 break
     if best is None:
@@ -150,4 +148,4 @@ def avoidance_scan(w: FiniteWord, m: int, kind: str) -> bool:
     """True iff w contains no occurrence of the requested kind, checking
     every start and every cell width that fits."""
     _check_scan_args(w, m, kind)
-    return not any(_hit_mask(w, d, m, kind).any() for d in range(1, len(w) // m + 1))
+    return not any(_hit_starts(w, d, m, kind).size for d in range(1, len(w) // m + 1))

@@ -376,6 +376,22 @@ def test_closed_form_matches_materialized_prefix(b, data):
     assert delta_interval(b, a, n) == brute_delta(w, a, n)
 
 
+@settings(max_examples=300)
+@given(
+    b=instruction_sequences,
+    l=st.integers(0, 2**12) | st.integers(0, 2**80),
+    d=st.integers(1, 2**10) | st.integers(1, 2**40),
+    m=st.integers(1, 9),
+)
+def test_differing_orders_matches_per_order_e_vectors(b, l, d, m):
+    top = (l + m * d).bit_length() + 2
+    expected = {
+        k for k in range(top + 1)
+        if e_vector(b, k, 1, l, d, m).components != e_vector(b, k, -1, l, d, m).components
+    }
+    assert differing_orders(b, l, d, m) == expected
+
+
 @pytest.mark.parametrize("text", ["(+)", "(-+)", "+-(-)", "-(+--)"])
 def test_ones_upto_every_prefix_to_4096(text):
     b = InstructionSequence.parse(text)

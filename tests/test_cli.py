@@ -222,6 +222,17 @@ def test_construct_refuses_order_over_step_budget(capsys, monkeypatch):
     assert "21523359 additivity steps" in err and "MAX_ADDITIVITY_STEPS" in err
 
 
+@pytest.mark.parametrize("order", ["17", "1000"])
+def test_construct_refuses_orders_from_17_before_the_seed_search(capsys, monkeypatch, order):
+    def no_seed(*args, **kwargs):
+        raise AssertionError("the seed block search ran")
+
+    monkeypatch.setattr("antipow.calculus.find_seed_block", no_seed)
+    code, out, err = run(capsys, "construct", "--instructions", "(+)", "--order", order)
+    assert code == 2 and out == ""
+    assert "2^(2^" in err and "MAX_ADDITIVITY_STEPS" in err
+
+
 def test_construct_rejects_order_one(capsys):
     code, _, _ = run(capsys, "construct", "--instructions", "(+)", "--order", "1")
     assert code == 2
