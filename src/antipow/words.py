@@ -40,7 +40,8 @@ class FiniteWord:
             raise ValueError("alphabet symbols must be distinct")
         if any(len(s) != 1 for s in self.alphabet):
             raise ValueError("alphabet symbols must be single characters")
-        if self.data and max(self.data) >= len(self.alphabet):
+        # deleting every valid index in C leaves only the out-of-range letters
+        if self.data.translate(None, bytes(range(len(self.alphabet)))):
             raise ValueError("letter index out of range for alphabet")
 
     @classmethod
@@ -73,9 +74,13 @@ class FiniteWord:
     @cached_property
     def cum_counts(self) -> np.ndarray:
         """(len+1, |alphabet|) cumulative letter counts; row t is the Parikh
-        vector of the prefix of length t."""
+        vector of the prefix of length t. The array is int32 in column-major
+        order, so each letter's column is one contiguous array."""
+        n = len(self.data)
+        if n >= 2**31:
+            raise ValueError("cumulative counts need a word shorter than 2^31 letters")
         arr = np.frombuffer(self.data, dtype=np.uint8)
-        out = np.zeros((len(arr) + 1, len(self.alphabet)), dtype=np.int64)
+        out = np.zeros((n + 1, len(self.alphabet)), dtype=np.int32, order="F")
         for j in range(len(self.alphabet)):
             np.cumsum(arr == j, out=out[1:, j])
         return out

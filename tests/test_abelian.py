@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -190,6 +191,22 @@ def test_complexity_table_csv():
     assert table.rows[0] == (1, 2)
 
 
+def thue_morse_factor_complexity(n):
+    """Brlek's closed form (Discrete Appl. Math. 24, 1989)."""
+    if n <= 2:
+        return 2 * n
+    r = (n - 1).bit_length() - 1
+    q = n - 1 - (1 << r)
+    return 3 * (1 << r) + 4 * q if 2 * q <= 1 << r else 4 * (1 << r) + 2 * q
+
+
+def test_thue_morse_factor_table_matches_closed_form():
+    # the 2^16 prefix keeps non-power-of-two widths on int64 pair keys
+    w = morphism_prefix(THUE_MORSE_MORPHISM, "0", 2**16)
+    table = complexity_table(w, "factor", 256)
+    assert table.rows == tuple((n, thue_morse_factor_complexity(n)) for n in range(1, 257))
+
+
 def test_complexity_table_validation():
     with pytest.raises(ValueError):
         ComplexityTable("abelian", ((2, 1), (1, 1)))
@@ -216,3 +233,15 @@ def test_complexities_match_sets_of_factors(case):
     windows = [w.data[i : i + n] for i in range(len(w) - n + 1)]
     assert factor_complexity(w, n) == len(set(windows))
     assert abelian_complexity(w, n) == len({frozenset(Counter(f).items()) for f in windows})
+
+
+@settings(max_examples=200)
+@given(case=words_and_lengths())
+def test_cum_counts_are_contiguous_int32_parikh_vectors(case):
+    w, _ = case
+    cum = w.cum_counts
+    assert cum.dtype == np.int32
+    assert all(cum[:, j].flags.c_contiguous for j in range(len(w.alphabet)))
+    for t in range(len(w) + 1):
+        counts = Counter(w.data[:t])
+        assert tuple(cum[t]) == tuple(counts[j] for j in range(len(w.alphabet)))

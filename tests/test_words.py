@@ -185,6 +185,17 @@ def test_finite_word_validation():
         FiniteWord((), b"")
 
 
+def test_finite_word_rejects_out_of_range_letter_after_valid_ones():
+    with pytest.raises(ValueError, match="letter index out of range"):
+        FiniteWord(("a", "b"), b"\x00\x02")
+    assert len(FiniteWord(("a", "b"), b"\x00\x01\x01")) == 3
+
+
+def test_from_text_names_the_unknown_symbol():
+    with pytest.raises(ValueError, match="symbol 'z' not in alphabet"):
+        FiniteWord.from_text("abz", ("a", "b"))
+
+
 @pytest.mark.parametrize("method", ["factor_keys", "abelian_keys"])
 def test_key_methods_reject_widths_outside_the_word(method):
     w = morphism_prefix(THUE_MORSE_MORPHISM, "0", 16)
