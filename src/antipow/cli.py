@@ -76,6 +76,18 @@ def _next_pow2(n: int) -> int:
     return 1 << max(n - 1, 0).bit_length()
 
 
+# the array layers index positions with int32, so a scan or a complexity
+# table refuses longer prefixes before generating one
+MAX_ARRAY_LENGTH = 2**31 - 1
+
+
+def _check_array_length(length: int) -> None:
+    if length > MAX_ARRAY_LENGTH:
+        raise ValueError(
+            f"prefix length {length} exceeds the budget of {MAX_ARRAY_LENGTH} letters (2^31 - 1)"
+        )
+
+
 def _build_word(word: str, instructions: InstructionSequence | None, length: int) -> FiniteWord:
     if length < 1:
         raise ValueError("length must be >= 1")
@@ -121,6 +133,7 @@ def cmd_complexity(args) -> int:
     if args.max_n < 1:
         raise ValueError("--max-n must be >= 1")
     length = _complexity_word_length(args)
+    _check_array_length(length)
     if args.max_n > length:
         raise ValueError("--max-n exceeds the generated prefix length")
     w = _build_word(args.word, args.instructions, length)
@@ -137,6 +150,7 @@ def cmd_scan(args) -> int:
         raise ValueError("--order must be >= 2")
     if args.avoidance and args.d_max is not None:
         raise ValueError("--d-max cannot be combined with --avoidance, which checks every width")
+    _check_array_length(args.length)
     w = _build_word(args.word, args.instructions, args.length)
     # with no hit, find_first has looked at every split, which verifies avoidance
     hit = find_first(w, args.order, args.kind.replace("-", "_"), d_max=args.d_max)

@@ -1,14 +1,19 @@
 """Exhaustive detection of powers, abelian powers, antipowers and abelian
 antipowers in finite words.
 
-The block scans are vectorized per cell width d. Every length-d window gets
-an exact equality key (`FiniteWord.factor_keys`, built from rank-doubling
-levels, or `FiniteWord.abelian_keys` for Parikh vectors; no probabilistic
-hashing). A split is then judged by comparing the keys of its cells pair by
-pair, adjacent cells first, on the starts still alive after the previous
-comparisons, and stops once none is left. `find_first` takes the widths in
-ascending order and looks, for each width, only at starts before its best
-hit so far; a hit at the first position ends the search.
+The block scans are vectorized per cell width d. One boolean mask says, for
+every position p, whether the length-d factor at p equals the one at p+d, as
+words or as Parikh vectors (`FiniteWord.next_cell_equal`: rank-doubling
+classes or one-counts, exact, with no probabilistic hashing). Equality is
+transitive, so a split is an m-power exactly when the mask holds at its
+m-1 adjacent-cell positions; shifted ANDs that double the run length give
+that for every start at once. An m-antipower needs the negated mask there
+too, and only the starts that survive it are compared on the farther cell
+pairs, through the exact keys `FiniteWord.factor_keys` and
+`FiniteWord.abelian_keys`. `find_first` takes the widths in ascending order
+and looks, for each width, only at starts before its best hit so far; a hit
+at the first position ends the search. A hit is the first within the given
+prefix: a longer prefix may hold an earlier start with a wider cell.
 """
 
 from __future__ import annotations
@@ -84,33 +89,39 @@ def classify_block(w: FiniteWord, split: BlockSplit) -> ClassifyResult:
     )
 
 
-def _split_starts(
-    values: np.ndarray, d: int, m: int, distinct: bool, stop: int | None = None
-) -> np.ndarray:
-    """Ascending 0-based split starts below stop (all that fit when None)
-    whose cells are pairwise distinct (distinct=True) or all equal
-    (distinct=False), judging cells by the per-window values array."""
-    starts = len(values) - (m - 1) * d
-    if stop is not None:
-        starts = min(starts, stop)
-    if distinct:
-        keep = np.not_equal
-        pairs = [(i, i + gap) for gap in range(1, m) for i in range(m - gap)]
-    else:
-        keep = np.equal
-        pairs = [(0, j) for j in range(1, m)]
-    (i, j), rest = pairs[0], pairs[1:]
-    alive = np.flatnonzero(keep(values[i * d : i * d + starts], values[j * d : j * d + starts]))
-    for i, j in rest:
-        if not alive.size:
-            break
-        alive = alive[keep(values[alive + i * d], values[alive + j * d])]
-    return alive
+def _and_along(mask: np.ndarray, d: int, count: int) -> np.ndarray:
+    """out[p] = mask[p] & mask[p+d] & ... & mask[p+(count-1)d] for every p
+    that fits. Runs of 2^k terms double until 2^k <= count < 2^(k+1); two
+    overlapping runs of 2^k then cover count terms, since AND is idempotent."""
+    span = 1
+    while 2 * span <= count:
+        mask = mask[: len(mask) - span * d] & mask[span * d :]
+        span *= 2
+    if span < count:
+        shift = (count - span) * d
+        mask = mask[: len(mask) - shift] & mask[shift:]
+    return mask
 
 
 def _hit_starts(w: FiniteWord, d: int, m: int, kind: str, stop: int | None = None) -> np.ndarray:
-    values = w.factor_keys(d) if kind in ("power", "antipower") else w.abelian_keys(d)
-    return _split_starts(values, d, m, kind.endswith("antipower"), stop)
+    """Ascending 0-based starts below stop (all that fit when None) of the
+    m-cell splits of width d of the requested kind."""
+    starts = len(w) - m * d + 1
+    if stop is not None:
+        starts = min(starts, stop)
+    words = kind in ("power", "antipower")
+    same = w.next_cell_equal(d, abelian=not words)[: starts + (m - 2) * d]
+    if not kind.endswith("antipower"):
+        # equality is transitive: all m cells are equal when each adjacent pair is
+        return _and_along(same, d, m - 1).nonzero()[0]
+    alive = _and_along(~same, d, m - 1).nonzero()[0]
+    if m > 2 and alive.size:
+        values = w.factor_keys(d) if words else w.abelian_keys(d)
+        for i, j in ((i, i + gap) for gap in range(2, m) for i in range(m - gap)):
+            alive = alive[values[i * d :].take(alive) != values[j * d :].take(alive)]
+            if not alive.size:
+                break
+    return alive
 
 
 def _check_scan_args(w: FiniteWord, m: int, kind: str) -> None:

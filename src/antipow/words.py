@@ -86,42 +86,68 @@ class FiniteWord:
         return out
 
     @cached_property
-    def rank_levels(self) -> tuple[np.ndarray, ...]:
-        """levels[j][p] is the equality class of the length-2^j factor at
-        0-based position p, as a dense int32 rank; built by
-        Karp–Miller–Rosenberg rank doubling, so classes are exact."""
-        n = len(self.data)
-        if n >= 2**31:
+    def _rank_levels(self) -> list[np.ndarray]:
+        """The rank levels built so far; `rank_level` extends the list."""
+        if len(self.data) >= 2**31:
             raise ValueError("rank levels need a word shorter than 2^31 letters")
         _, ranks = np.unique(np.frombuffer(self.data, dtype=np.uint8), return_inverse=True)
-        levels = [ranks.astype(np.int32)]
-        size = 1
-        while 2 * size <= n:
-            prev = levels[-1]
+        return [ranks.astype(np.int32)]
+
+    def rank_level(self, j: int) -> np.ndarray:
+        """level[p] is the equality class of the length-2^j factor at 0-based
+        position p, as a dense int32 rank. Karp–Miller–Rosenberg rank
+        doubling builds the levels up to j on first use, so classes are
+        exact and no level above the widest one read is built."""
+        n = len(self.data)
+        if j < 0 or (1 << j) > n:
+            raise ValueError(f"rank level {j} out of range for length {n}")
+        levels = self._rank_levels
+        while len(levels) <= j:
+            prev, size = levels[-1], 1 << (len(levels) - 1)
             valid = n - 2 * size + 1
             keys = prev[:valid].astype(np.int64) * (n + 1) + prev[size : size + valid]
             _, ranks = np.unique(keys, return_inverse=True)
             levels.append(ranks.astype(np.int32))
-            size *= 2
-        return tuple(levels)
+        return levels[j]
 
     def _check_width(self, d: int) -> None:
         if not 1 <= d <= len(self):
             raise ValueError(f"factor length {d} out of range 1..{len(self)}")
 
+    def _level_and_offset(self, d: int) -> tuple[np.ndarray, int]:
+        """The rank level of the largest power of two 2^j <= d, and
+        off = d - 2^j: the length-d factor at p is covered by the two
+        overlapping length-2^j factors at p and p+off."""
+        self._check_width(d)
+        j = d.bit_length() - 1
+        return self.rank_level(j), d - (1 << j)
+
     def factor_keys(self, d: int) -> np.ndarray:
         """One integer per length-d factor, in order of position, equal
         exactly when the factors are equal. For d a power of two the keys
         are the dense ranks of a rank level."""
-        self._check_width(d)
-        j = d.bit_length() - 1
-        level = self.rank_levels[j]
-        if (1 << j) == d:
+        level, off = self._level_and_offset(d)
+        if not off:
             return level
-        # [p, p+d) is covered by the two overlapping length-2^j factors at p and p+off
         valid = len(self) - d + 1
-        off = d - (1 << j)
         return level[:valid].astype(np.int64) * (len(self) + 1) + level[off : off + valid]
+
+    def next_cell_equal(self, d: int, abelian: bool) -> np.ndarray:
+        """Boolean per position p = 0..len-2d: whether the length-d factor at
+        p equals the one at p+d, as words or, with abelian set, as Parikh
+        vectors. Word equality compares the rank classes of the two
+        length-2^j factors that cover each cell, so no int64 key is built."""
+        if not 1 <= 2 * d <= len(self):
+            raise ValueError(f"cell width {d} out of range 1..{len(self) // 2}")
+        valid = len(self) - 2 * d + 1
+        if abelian:
+            keys = self.abelian_keys(d)
+            return keys[:valid] == keys[d:]
+        level, off = self._level_and_offset(d)
+        same = level[:valid] == level[d : d + valid]
+        if off:
+            same &= level[off : off + valid] == level[off + d : off + d + valid]
+        return same
 
     def abelian_keys(self, d: int) -> np.ndarray:
         """One integer per length-d factor, in order of position, equal

@@ -187,6 +187,42 @@ def test_scan_rejects_d_max_with_avoidance(capsys, monkeypatch):
     assert code == 2 and out == "" and "--d-max" in err
 
 
+class _Generated(Exception):
+    pass
+
+
+@pytest.fixture
+def no_generation(monkeypatch):
+    """Every word generator the CLI calls raises _Generated with the length."""
+    def generate(*args):
+        raise _Generated(args[-1])
+
+    for name in ("sierpinski_prefix", "morphism_prefix", "toeplitz_paperfolding_prefix"):
+        monkeypatch.setattr(f"antipow.cli.{name}", generate)
+
+
+@pytest.mark.parametrize("argv", [
+    ("scan", "paperfolding", "(+)", "--length", str(2**31), "--order", "2", "--kind", "antipower"),
+    ("scan", "thue-morse", "--length", str(10**12), "--order", "3", "--kind", "power"),
+    ("complexity", "thue-morse", "--max-n", "64", "--length", str(2**31)),
+    # the default prefixes: 3^20 letters, and 2^31 for both binary words
+    ("complexity", "sierpinski", "--max-n", str(10**9)),
+    ("complexity", "thue-morse", "--max-n", str(2**29)),
+    ("complexity", "paperfolding", "(+)", "--kind", "factor", "--max-n", str(2**29)),
+])
+def test_array_commands_refuse_prefixes_over_the_int32_budget(capsys, no_generation, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "exceeds the budget of 2147483647 letters" in err
+
+
+def test_array_budget_admits_the_longest_int32_prefix(capsys, no_generation):
+    with pytest.raises(_Generated) as exc:
+        run(capsys, "scan", "sierpinski", "--length", str(2**31 - 1), "--order", "2",
+            "--kind", "antipower")
+    assert exc.value.args == (2**31 - 1,)
+
+
 def test_construct_verified(capsys):
     code, out, _ = run(capsys, "construct", "--instructions", "(+)", "--order", "2")
     assert code == 0

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -15,6 +16,7 @@ from antipow import (
     sierpinski_prefix,
     toeplitz_paperfolding_prefix,
 )
+from antipow.scan import _and_along
 from conftest import brute_find_first
 
 AB = ("a", "b")
@@ -112,6 +114,27 @@ def test_find_first_other_kinds_match_reference():
             assert got == expected
 
 
+def test_find_first_regular_paperfolding_abelian_9_antipower():
+    w = toeplitz_paperfolding_prefix(REGULAR, 2**16)
+    hit = find_first(w, 9, "abelian_antipower")
+    assert (hit.start, hit.cell_width) == (1, 2389)
+    flags = classify_block(w, BlockSplit(hit.start, hit.cell_width, 9))
+    assert flags.is_abelian_antipower and flags.is_antipower
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 7])
+def test_and_along_matches_a_naive_loop(d):
+    rng = random.Random(53 + d)
+    # mostly-true masks, so that long runs of trues survive the ANDs
+    mask = np.array([rng.random() < 0.9 for _ in range(200)])
+    for count in range(1, 17):
+        expected = [
+            all(mask[p + i * d] for i in range(count))
+            for p in range(len(mask) - (count - 1) * d)
+        ]
+        assert _and_along(mask, d, count).tolist() == expected
+
+
 def test_find_first_nonbinary_alphabet():
     w = FiniteWord.from_text("abcabc", ("a", "b", "c"))
     hit = find_first(w, 3, "abelian_antipower")
@@ -148,8 +171,8 @@ def test_scan_hit_json():
 
 def test_slow_abelian_mask_agrees_with_classifier():
     # "slow" is a per-start loop over the ranked Parikh keys of a ternary
-    # word; "fast" is the compacting pairwise pass over the same keys, which
-    # returns the starts that survive it
+    # word; "fast" is the scanner's adjacent-cell mask followed by the
+    # comparisons of its survivors' farther cells on the same keys
     from antipow.scan import _hit_starts
 
     rng = random.Random(47)
@@ -190,7 +213,7 @@ kinds = st.sampled_from(("power", "abelian_power", "antipower", "abelian_antipow
 
 
 @settings(max_examples=300)
-@given(w=scan_words(), m=st.integers(2, 5), kind=kinds, d_max=st.none() | st.integers(1, 40))
+@given(w=scan_words(), m=st.integers(2, 12), kind=kinds, d_max=st.none() | st.integers(1, 40))
 def test_find_first_matches_brute_force_property(w, m, kind, d_max):
     assume(len(w) >= m)
     hit = find_first(w, m, kind, d_max=d_max)
@@ -199,7 +222,7 @@ def test_find_first_matches_brute_force_property(w, m, kind, d_max):
 
 
 @settings(max_examples=200)
-@given(w=scan_words(), m=st.integers(2, 5), kind=kinds)
+@given(w=scan_words(), m=st.integers(2, 12), kind=kinds)
 def test_avoidance_scan_matches_brute_force_property(w, m, kind):
     assume(len(w) >= m)
     assert avoidance_scan(w, m, kind) == (brute_find_first(w, m, kind) is None)

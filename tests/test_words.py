@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -197,6 +198,54 @@ def test_key_methods_reject_widths_outside_the_word(method):
         with pytest.raises(ValueError, match="out of range"):
             keys(d)
     assert len(keys(1)) == 16 and len(keys(len(w))) == 1
+
+
+def test_next_cell_equal_rejects_widths_without_two_cells():
+    w = morphism_prefix(THUE_MORSE_MORPHISM, "0", 16)
+    for d in (0, 9, 40):
+        with pytest.raises(ValueError, match="out of range"):
+            w.next_cell_equal(d, abelian=False)
+    # the halves 01101001 and 10010110 differ as words, not as Parikh vectors
+    assert w.next_cell_equal(8, abelian=False).tolist() == [False]
+    assert w.next_cell_equal(8, abelian=True).tolist() == [True]
+
+
+@st.composite
+def words_and_cell_widths(draw):
+    letters = draw(st.sampled_from(("01", "abc")))
+    text = draw(st.text(alphabet=letters, min_size=2, max_size=120))
+    return FiniteWord.from_text(text, tuple(letters)), draw(st.integers(1, len(text) // 2))
+
+
+@settings(max_examples=300)
+@given(case=words_and_cell_widths())
+def test_next_cell_equal_matches_slices_and_parikh_vectors(case):
+    w, d = case
+    cells = [w.data[p : p + d] for p in range(len(w) - d + 1)]
+    vectors = [Counter(cell) for cell in cells]
+    positions = range(len(w) - 2 * d + 1)
+    assert w.next_cell_equal(d, abelian=False).tolist() == [
+        cells[p] == cells[p + d] for p in positions
+    ]
+    assert w.next_cell_equal(d, abelian=True).tolist() == [
+        vectors[p] == vectors[p + d] for p in positions
+    ]
+
+
+def test_rank_levels_are_exact_and_built_only_up_to_the_level_read():
+    w = toeplitz_paperfolding_prefix(REGULAR, 300)
+    w.factor_keys(6)
+    assert len(w._rank_levels) == 3
+    for j in range(9):
+        level = w.rank_level(j)
+        assert len(level) == len(w) - (1 << j) + 1
+        classes = {}
+        for p, rank in enumerate(level.tolist()):
+            assert classes.setdefault(w.data[p : p + (1 << j)], rank) == rank
+        assert sorted(classes.values()) == list(range(len(classes)))
+    assert len(w._rank_levels) == 9
+    with pytest.raises(ValueError, match="out of range"):
+        w.rank_level(9)
 
 
 def test_random_instruction_sequences_oracle_consistency():
