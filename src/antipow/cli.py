@@ -21,28 +21,32 @@ from .calculus import (
 )
 from .instructions import InstructionSequence
 
-# Names from the word layers, which import numpy. `_load_numpy_layers` binds
-# them here through the package's lazy loader when a word is built or one is
-# read as a module attribute, so construct and delta start without numpy. A
-# name already bound wins: the bench tracer and tests replace these as
-# attributes of this module, and abelian_complexity, factor_complexity and
-# avoidance_scan are listed only for the tracer to wrap.
+# Names from the word layers. `_bind` binds them here through the package's
+# lazy loader when a word is built or one is read as a module attribute. A
+# generated word needs only the four generator names, which load no numpy;
+# complexity and scan bind all of them, which loads numpy, and construct and
+# delta bind none. A name already bound wins: the bench tracer and tests
+# replace these as attributes of this module, and abelian_complexity,
+# factor_complexity and avoidance_scan are listed for the tracer to wrap.
+_GENERATOR_NAMES = (
+    "THUE_MORSE_MORPHISM", "morphism_prefix", "sierpinski_prefix",
+    "toeplitz_paperfolding_prefix",
+)
 _WORD_LAYER_NAMES = (
-    "FiniteWord", "THUE_MORSE_MORPHISM", "abelian_complexity", "avoidance_scan",
-    "complexity_table", "factor_complexity", "find_first", "morphism_prefix",
-    "sierpinski_prefix", "toeplitz_paperfolding_prefix",
+    *_GENERATOR_NAMES, "FiniteWord", "abelian_complexity", "avoidance_scan",
+    "complexity_table", "factor_complexity", "find_first",
 )
 
 
-def _load_numpy_layers() -> None:
+def _bind(names: tuple[str, ...]) -> None:
     package = import_module(__package__)
-    for name in _WORD_LAYER_NAMES:
+    for name in names:
         globals().setdefault(name, getattr(package, name))
 
 
 def __getattr__(name: str):
     if name in _WORD_LAYER_NAMES:
-        _load_numpy_layers()
+        _bind((name,))
         return globals()[name]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
@@ -76,8 +80,8 @@ def _next_pow2(n: int) -> int:
     return 1 << max(n - 1, 0).bit_length()
 
 
-# the array layers index positions with int32, so a scan or a complexity
-# table refuses longer prefixes before generating one
+# the array layers index positions with int32, so every word command refuses
+# longer prefixes before generating one
 MAX_ARRAY_LENGTH = 2**31 - 1
 
 
@@ -91,7 +95,8 @@ def _check_array_length(length: int) -> None:
 def _build_word(word: str, instructions: InstructionSequence | None, length: int) -> FiniteWord:
     if length < 1:
         raise ValueError("length must be >= 1")
-    _load_numpy_layers()
+    _check_array_length(length)
+    _bind(_GENERATOR_NAMES)
     if word == "sierpinski":
         return sierpinski_prefix(length)
     if word == "thue-morse":
@@ -117,6 +122,16 @@ def cmd_generate(args) -> int:
     return 0
 
 
+def _thue_morse_factor_complexity(n: int) -> int:
+    """Number of length-n factors of the Thue–Morse word, n >= 1, by Brlek's
+    closed form (Discrete Appl. Math. 24, 1989)."""
+    if n <= 2:
+        return 2 * n
+    r = (n - 1).bit_length() - 1
+    q = n - 1 - (1 << r)
+    return 3 * (1 << r) + 4 * q if 2 * q <= 1 << r else 4 * (1 << r) + 2 * q
+
+
 def _complexity_word_length(args) -> int:
     if args.length is not None:
         return args.length
@@ -133,10 +148,22 @@ def cmd_complexity(args) -> int:
     if args.max_n < 1:
         raise ValueError("--max-n must be >= 1")
     length = _complexity_word_length(args)
-    _check_array_length(length)
     if args.max_n > length:
         raise ValueError("--max-n exceeds the generated prefix length")
+    _bind(_WORD_LAYER_NAMES)
     w = _build_word(args.word, args.instructions, length)
+    if args.length is None and args.word != "sierpinski":
+        # A prefix that holds every factor of length n holds every shorter
+        # one, a prefix of some length-n factor. It does so exactly when it
+        # has as many length-n factors as the infinite word: 4n for every
+        # paperfolding word from n = 7 on (Allouche, Bull. Austral. Math.
+        # Soc. 1992), Brlek's count for Thue–Morse. Double the prefix until
+        # that count holds at n = max(max_n, 7).
+        n = max(args.max_n, 7)
+        known = 4 * n if args.word == "paperfolding" else _thue_morse_factor_complexity(n)
+        while factor_complexity(w, n) != known:
+            length *= 2
+            w = _build_word(args.word, args.instructions, length)
     table = complexity_table(w, args.kind, args.max_n)
     if args.fmt == "json":
         _emit("\n".join(json.dumps({"n": n, "value": v}) for n, v in table.rows), args.output)
@@ -150,7 +177,7 @@ def cmd_scan(args) -> int:
         raise ValueError("--order must be >= 2")
     if args.avoidance and args.d_max is not None:
         raise ValueError("--d-max cannot be combined with --avoidance, which checks every width")
-    _check_array_length(args.length)
+    _bind(_WORD_LAYER_NAMES)
     w = _build_word(args.word, args.instructions, args.length)
     # with no hit, find_first has looked at every split, which verifies avoidance
     hit = find_first(w, args.order, args.kind.replace("-", "_"), d_max=args.d_max)

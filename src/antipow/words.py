@@ -10,9 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping
 
 # REGULAR and paperfolding_letter are re-exported from here
 from .instructions import (
@@ -21,6 +19,29 @@ from .instructions import (
     InstructionSequence,
     paperfolding_letter,
 )
+
+# only the array methods import numpy, so generating a word does not load it
+if TYPE_CHECKING:
+    import numpy as np
+
+
+def _extend_rank_levels(levels: list[np.ndarray], j: int) -> list[np.ndarray]:
+    """Append Karp–Miller–Rosenberg levels to levels, whose entry i holds the
+    dense ranks of the length-2^i factors of one int32 sequence in
+    lexicographic order (entry 0: its letters), until it holds level j.
+    Ranks stay below the sequence length, which bounds the pair keys."""
+    import numpy as np
+
+    n = len(levels[0])
+    if n >= 2**31:
+        raise ValueError("rank levels need a sequence shorter than 2^31 letters")
+    while len(levels) <= j:
+        prev, size = levels[-1], 1 << (len(levels) - 1)
+        valid = n - 2 * size + 1
+        keys = prev[:valid].astype(np.int64) * (n + 1) + prev[size : size + valid]
+        _, ranks = np.unique(keys, return_inverse=True)
+        levels.append(ranks.astype(np.int32))
+    return levels
 
 
 @dataclass(frozen=True)
@@ -76,6 +97,8 @@ class FiniteWord:
         """(len+1, |alphabet|) cumulative letter counts; row t is the Parikh
         vector of the prefix of length t. The array is int32 in column-major
         order, so each letter's column is one contiguous array."""
+        import numpy as np
+
         n = len(self.data)
         if n >= 2**31:
             raise ValueError("cumulative counts need a word shorter than 2^31 letters")
@@ -88,6 +111,8 @@ class FiniteWord:
     @cached_property
     def _rank_levels(self) -> list[np.ndarray]:
         """The rank levels built so far; `rank_level` extends the list."""
+        import numpy as np
+
         if len(self.data) >= 2**31:
             raise ValueError("rank levels need a word shorter than 2^31 letters")
         _, ranks = np.unique(np.frombuffer(self.data, dtype=np.uint8), return_inverse=True)
@@ -102,12 +127,8 @@ class FiniteWord:
         if j < 0 or (1 << j) > n:
             raise ValueError(f"rank level {j} out of range for length {n}")
         levels = self._rank_levels
-        while len(levels) <= j:
-            prev, size = levels[-1], 1 << (len(levels) - 1)
-            valid = n - 2 * size + 1
-            keys = prev[:valid].astype(np.int64) * (n + 1) + prev[size : size + valid]
-            _, ranks = np.unique(keys, return_inverse=True)
-            levels.append(ranks.astype(np.int32))
+        if len(levels) <= j:
+            _extend_rank_levels(levels, j)
         return levels[j]
 
     def _check_width(self, d: int) -> None:
@@ -129,6 +150,8 @@ class FiniteWord:
         level, off = self._level_and_offset(d)
         if not off:
             return level
+        import numpy as np
+
         valid = len(self) - d + 1
         return level[:valid].astype(np.int64) * (len(self) + 1) + level[off : off + valid]
 
@@ -158,6 +181,8 @@ class FiniteWord:
         cum = self.cum_counts
         if len(self.alphabet) == 2:
             return cum[d:, 1] - cum[:-d, 1]
+        import numpy as np
+
         _, ranks = np.unique(cum[d:] - cum[:-d], axis=0, return_inverse=True)
         return ranks
 
@@ -192,7 +217,12 @@ THUE_MORSE_MORPHISM = Morphism({"0": "01", "1": "10"})
 
 
 def morphism_prefix(m: Morphism, seed: str, n: int) -> FiniteWord:
-    """First n letters of the fixed point of m starting from seed."""
+    """First n letters of the fixed point of m starting from seed.
+
+    A uniform morphism, whose images all have one length r >= 2 (Thue–Morse,
+    Sierpinski), is applied to letter indices in bytes: letter t of every
+    image is one `bytes.translate` of the word, written to every r-th
+    position from t. Other morphisms are applied to text."""
     if n < 1:
         raise ValueError("prefix length must be >= 1")
     rule = m.rules.get(seed)
@@ -200,13 +230,29 @@ def morphism_prefix(m: Morphism, seed: str, n: int) -> FiniteWord:
         raise ValueError(f"seed {seed!r} has no rule")
     if not rule.startswith(seed):
         raise ValueError(f"seed {seed!r} is not prolongable: rule does not start with it")
+    alphabet = m.alphabet
+    r = len(rule)
+    if r >= 2 and all(len(image) == r for image in m.rules.values()):
+        index = {ch: i for i, ch in enumerate(alphabet)}
+        letters = bytes(range(len(alphabet)))
+        tables = [
+            bytes.maketrans(letters, bytes(index[m.rules[ch][t]] for ch in alphabet))
+            for t in range(r)
+        ]
+        data = bytearray((index[seed],))
+        while len(data) < n:
+            grown = bytearray(r * len(data))
+            for t, table in enumerate(tables):
+                grown[t::r] = data.translate(table)
+            data = grown
+        return FiniteWord(alphabet, bytes(data[:n]))
     word = seed
     while len(word) < n:
         grown = m.apply(word)
         if len(grown) == len(word):
             raise ValueError("morphism does not expand from seed; no infinite fixed point")
         word = grown
-    return FiniteWord.from_text(word[:n], m.alphabet)
+    return FiniteWord.from_text(word[:n], alphabet)
 
 
 def sierpinski_prefix(n: int) -> FiniteWord:
@@ -214,12 +260,10 @@ def sierpinski_prefix(n: int) -> FiniteWord:
     recurrence s_{k+1} = s_k b^{3^k} s_k starting from s_0 = a."""
     if n < 1:
         raise ValueError("prefix length must be >= 1")
-    word = "a"
-    k = 0
+    word = b"\x00"
     while len(word) < n:
-        word = word + "b" * 3**k + word
-        k += 1
-    return FiniteWord.from_text(word[:n], ("a", "b"))
+        word = word + b"\x01" * len(word) + word
+    return FiniteWord(("a", "b"), word[:n])
 
 
 def toeplitz_paperfolding_prefix(b: InstructionSequence, n: int) -> FiniteWord:
@@ -230,16 +274,16 @@ def toeplitz_paperfolding_prefix(b: InstructionSequence, n: int) -> FiniteWord:
     A = 1-a) into the remaining holes, in order. The holes left before
     round k are the positions divisible by 2^k, so the round writes a at
     positions 2^k(4q+1) and A at 2^k(4q+3); the rounds with 2^k <= n settle
-    the first n positions.
+    the first n positions. The buffer starts as zeros, so each round writes
+    only its ones, at positions (2 + b_k) 2^k mod 2^(k+2).
     """
     if n < 1:
         raise ValueError("prefix length must be >= 1")
-    buf = np.zeros(n, dtype=np.uint8)
+    buf = bytearray(n)
+    ones = memoryview(b"\x01" * ((n + 3) // 4))
     k = 0
     while (1 << k) <= n:
-        a = 0 if b.at(k) == 1 else 1
-        step = 1 << (k + 2)
-        buf[(1 << k) - 1 :: step] = a
-        buf[3 * (1 << k) - 1 :: step] = 1 - a
+        start, step = ((2 + b.at(k)) << k) - 1, 1 << (k + 2)
+        buf[start::step] = ones[: len(range(start, n, step))]
         k += 1
-    return FiniteWord(PAPERFOLDING_ALPHABET, buf.tobytes())
+    return FiniteWord(PAPERFOLDING_ALPHABET, bytes(buf))

@@ -22,6 +22,7 @@ from antipow import (
     sierpinski_prefix,
     toeplitz_paperfolding_prefix,
 )
+from antipow.cli import _thue_morse_factor_complexity
 
 ABC = ("a", "b", "c")
 
@@ -191,20 +192,11 @@ def test_complexity_table_csv():
     assert table.rows[0] == (1, 2)
 
 
-def thue_morse_factor_complexity(n):
-    """Brlek's closed form (Discrete Appl. Math. 24, 1989)."""
-    if n <= 2:
-        return 2 * n
-    r = (n - 1).bit_length() - 1
-    q = n - 1 - (1 << r)
-    return 3 * (1 << r) + 4 * q if 2 * q <= 1 << r else 4 * (1 << r) + 2 * q
-
-
 def test_thue_morse_factor_table_matches_closed_form():
-    # the 2^16 prefix keeps non-power-of-two widths on int64 pair keys
+    # every Thue–Morse factor of length n <= 256 occurs in the 2^16 prefix
     w = morphism_prefix(THUE_MORSE_MORPHISM, "0", 2**16)
     table = complexity_table(w, "factor", 256)
-    assert table.rows == tuple((n, thue_morse_factor_complexity(n)) for n in range(1, 257))
+    assert table.rows == tuple((n, _thue_morse_factor_complexity(n)) for n in range(1, 257))
 
 
 def test_complexity_table_validation():
@@ -233,6 +225,36 @@ def test_complexities_match_sets_of_factors(case):
     windows = [w.data[i : i + n] for i in range(len(w) - n + 1)]
     assert factor_complexity(w, n) == len(set(windows))
     assert abelian_complexity(w, n) == len({frozenset(Counter(f).items()) for f in windows})
+
+
+@st.composite
+def words_and_table_sizes(draw):
+    w, n = draw(words_and_lengths(max_len=120))
+    powers = [1 << j for j in range(len(w).bit_length()) if 1 << j <= len(w)]
+    size = draw(st.sampled_from([1, len(w), n, *powers]))
+    return w, size
+
+
+@settings(max_examples=300)
+@given(case=words_and_table_sizes())
+def test_factor_table_matches_sets_of_factors(case):
+    # one sort gives every row, including N = 1, N = len(w) and powers of two
+    w, max_n = case
+    expected = tuple(
+        (n, len({w.data[i : i + n] for i in range(len(w) - n + 1)})) for n in range(1, max_n + 1)
+    )
+    assert complexity_table(w, "factor", max_n).rows == expected
+
+
+def test_factor_table_over_256_letters():
+    # the padding sentinel lies outside every byte value
+    rng = random.Random(13)
+    alphabet = tuple(chr(0x100 + i) for i in range(256))
+    w = FiniteWord(alphabet, bytes(rng.randrange(256) for _ in range(300)) + b"\xff" * 40)
+    expected = tuple(
+        (n, len({w.data[i : i + n] for i in range(len(w) - n + 1)})) for n in range(1, len(w) + 1)
+    )
+    assert complexity_table(w, "factor", len(w)).rows == expected
 
 
 @settings(max_examples=200)

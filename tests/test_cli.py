@@ -6,13 +6,15 @@ from pathlib import Path
 import pytest
 
 from antipow import (
+    REGULAR,
     AntipowerCertificate,
     abelian_complexity,
     factor_complexity,
     sierpinski_prefix,
+    toeplitz_paperfolding_prefix,
     verify_certificate,
 )
-from antipow.cli import _ceil_log3, main
+from antipow.cli import _ceil_log3, _thue_morse_factor_complexity, main
 
 REGULAR_32 = "00100110001101100010011100110110"
 
@@ -88,6 +90,49 @@ def test_complexity_paperfolding_factor_kind(capsys):
     assert code == 0
     rows = dict(tuple(map(int, line.split(","))) for line in out.splitlines()[1:])
     assert rows[7] == 28 and rows[10] == 40
+
+
+def _rows(out: str) -> dict[int, int]:
+    return dict(tuple(map(int, line.split(","))) for line in out.splitlines()[1:])
+
+
+def test_complexity_default_paperfolding_prefix_holds_every_factor(capsys):
+    # the 16,384 letters of the first default prefix miss factors from
+    # n = 2,143 on: at n = 2,434 it gave 8,964 factors and 8 abelian classes
+    max_n = 2434
+    big = toeplitz_paperfolding_prefix(REGULAR, 2**20)
+    code, out, _ = run(capsys, "complexity", "paperfolding", "(+)", "--kind", "factor",
+                       "--max-n", str(max_n))
+    factors = _rows(out)
+    assert code == 0 and len(factors) == max_n
+    assert all(factors[n] == 4 * n for n in range(7, max_n + 1))
+    code, out, _ = run(capsys, "complexity", "paperfolding", "(+)", "--max-n", str(max_n))
+    classes = _rows(out)
+    assert code == 0 and len(classes) == max_n
+    near = range(max_n - 40, max_n + 1)
+    assert [classes[n] for n in near] == [abelian_complexity(big, n) for n in near]
+
+
+def test_complexity_default_thue_morse_prefix_holds_every_factor(capsys):
+    code, out, _ = run(capsys, "complexity", "thue-morse", "--kind", "factor", "--max-n", "600")
+    assert code == 0
+    assert _rows(out) == {n: _thue_morse_factor_complexity(n) for n in range(1, 601)}
+
+
+def test_complexity_default_prefix_doubles_within_the_budget(capsys, monkeypatch):
+    lengths = []
+
+    def short_word(b, length):
+        lengths.append(length)
+        return toeplitz_paperfolding_prefix(b, 64)
+
+    # a count that never certifies the prefix doubles it up to the budget
+    monkeypatch.setattr("antipow.cli.toeplitz_paperfolding_prefix", short_word)
+    monkeypatch.setattr("antipow.cli.factor_complexity", lambda w, n: 0)
+    code, out, err = run(capsys, "complexity", "paperfolding", "(+)", "--max-n", "64")
+    assert code == 2 and out == ""
+    assert "exceeds the budget of 2147483647 letters" in err
+    assert lengths == [2**k for k in range(14, 31)]
 
 
 def test_complexity_json_format(capsys):
@@ -209,6 +254,9 @@ def no_generation(monkeypatch):
     ("complexity", "sierpinski", "--max-n", str(10**9)),
     ("complexity", "thue-morse", "--max-n", str(2**29)),
     ("complexity", "paperfolding", "(+)", "--kind", "factor", "--max-n", str(2**29)),
+    ("generate", "sierpinski", "--length", str(2**31)),
+    ("generate", "thue-morse", "--length", str(10**12)),
+    ("generate", "paperfolding", "(+)", "--length", str(2**31)),
 ])
 def test_array_commands_refuse_prefixes_over_the_int32_budget(capsys, no_generation, argv):
     code, out, err = run(capsys, *argv)

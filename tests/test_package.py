@@ -1,5 +1,5 @@
 """The package's public names load on first use, and the big-integer
-commands (`construct`, `delta`) start without importing numpy."""
+commands (`construct`, `delta`) and `generate` run without importing numpy."""
 
 import os
 import subprocess
@@ -16,6 +16,10 @@ ENV = {**os.environ, "PYTHONPATH": str(SRC)}
 DELTA = ["delta", "--instructions", "(+)", "--l", "0", "--n", "14"]
 CONSTRUCT = ["construct", "--instructions", "(+)", "--order", "4"]
 GENERATE = ["generate", "sierpinski", "--length", "8"]
+GENERATE_THUE_MORSE = ["generate", "thue-morse", "--length", "8"]
+GENERATE_PAPERFOLDING = ["generate", "paperfolding", "(+)", "--length", "8"]
+COMPLEXITY = ["complexity", "sierpinski", "--max-n", "3"]
+SCAN = ["scan", "sierpinski", "--length", "27", "--order", "3", "--kind", "antipower"]
 
 # what `from antipow import *` bound when every layer was imported eagerly
 PUBLIC_NAMES = [
@@ -51,7 +55,7 @@ def numpy_imported_after(code: str) -> bool:
         ("import antipow\nantipow.InstructionSequence.parse('(+)')", False),
         (f"from antipow.cli import main\nif main({DELTA!r}) != 0: raise SystemExit(1)", False),
         (f"from antipow.cli import main\nif main({CONSTRUCT!r}) != 0: raise SystemExit(1)", False),
-        (f"from antipow.cli import main\nif main({GENERATE!r}) != 0: raise SystemExit(1)", True),
+        (f"from antipow.cli import main\nif main({GENERATE!r}) != 0: raise SystemExit(1)", False),
     ],
     ids=["import", "import cli", "instructions", "main delta", "main construct", "main generate"],
 )
@@ -61,8 +65,12 @@ def test_numpy_is_imported_only_by_the_word_layers(code, imported):
 
 @pytest.mark.parametrize(
     "argv, imported",
-    [(DELTA, False), (CONSTRUCT, False), (GENERATE, True)],
-    ids=["delta", "construct", "generate"],
+    [
+        (DELTA, False), (CONSTRUCT, False), (GENERATE, False), (GENERATE_THUE_MORSE, False),
+        (GENERATE_PAPERFOLDING, False), (COMPLEXITY, True), (SCAN, True),
+    ],
+    ids=["delta", "construct", "generate", "generate thue-morse", "generate paperfolding",
+         "complexity", "scan"],
 )
 def test_module_entry_point_imports_numpy_only_for_word_commands(argv, imported):
     proc = subprocess.run(

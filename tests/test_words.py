@@ -1,8 +1,9 @@
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from antipow import (
     FiniteWord,
@@ -16,6 +17,7 @@ from antipow import (
     sierpinski_prefix,
     toeplitz_paperfolding_prefix,
 )
+from antipow.words import _extend_rank_levels
 
 REGULAR_32 = "00100110001101100010011100110110"
 
@@ -48,6 +50,39 @@ def test_morphism_prefix_rejects_non_expanding():
     idle = Morphism({"a": "a"})
     with pytest.raises(ValueError, match="expand"):
         morphism_prefix(idle, "a", 2)
+
+
+def test_morphism_prefix_non_uniform_fibonacci():
+    # images of lengths 2 and 1 take the text path
+    fibonacci = Morphism({"a": "ab", "b": "a"})
+    assert str(morphism_prefix(fibonacci, "a", 13)) == "abaababaabaab"
+
+
+def _text_fixed_point(m: Morphism, seed: str, n: int) -> FiniteWord:
+    """Reference: apply m to text until the prefix is long enough."""
+    word = seed
+    while len(word) < n:
+        word = m.apply(word)
+    return FiniteWord.from_text(word[:n], m.alphabet)
+
+
+@st.composite
+def uniform_morphisms(draw):
+    letters = draw(st.sampled_from(("ab", "abc", "abcd")))
+    r = draw(st.integers(2, 4))
+    rules = {ch: draw(st.text(alphabet=letters, min_size=r, max_size=r)) for ch in letters}
+    rules["a"] = "a" + rules["a"][1:]  # prolongable from a
+    return Morphism(rules)
+
+
+@settings(max_examples=200)
+@given(
+    m=st.one_of(st.just(THUE_MORSE_MORPHISM), st.just(SIERPINSKI_MORPHISM), uniform_morphisms()),
+    n=st.integers(1, 3000),
+)
+def test_uniform_morphism_bytes_match_text_path(m, n):
+    seed = m.alphabet[0]
+    assert morphism_prefix(m, seed, n) == _text_fixed_point(m, seed, n)
 
 
 def test_morphism_rules_validation():
@@ -248,6 +283,12 @@ def test_rank_levels_are_exact_and_built_only_up_to_the_level_read():
         w.rank_level(9)
 
 
+def test_rank_levels_refuse_sequences_whose_pair_keys_overflow():
+    # a broadcast view has 2^31 entries without allocating them
+    with pytest.raises(ValueError, match="shorter than 2\\^31"):
+        _extend_rank_levels([np.broadcast_to(np.int32(0), (2**31,))], 1)
+
+
 def test_random_instruction_sequences_oracle_consistency():
     rng = random.Random(7)
     for _ in range(5):
@@ -269,6 +310,11 @@ instruction_sequences = st.builds(
 
 @settings(max_examples=100)
 @given(b=instruction_sequences, n=st.integers(1, 5000))
+# the byte fill writes every 2^(k+2)-th position up to n, which need not be
+# a power of two
+@example(b=REGULAR, n=3)
+@example(b=InstructionSequence.parse("-(+--)"), n=4095)
+@example(b=InstructionSequence.parse("+-(-)"), n=4097)
 def test_toeplitz_matches_letter_oracle_property(b, n):
     w = toeplitz_paperfolding_prefix(b, n)
     assert len(w) == n
