@@ -6,9 +6,7 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass
 
-import numpy as np
-
-from .words import FiniteWord, _extend_rank_levels
+from .words import FiniteWord
 
 
 def parikh(w: FiniteWord) -> tuple[int, ...]:
@@ -35,49 +33,7 @@ def abelian_complexity(w: FiniteWord, n: int) -> int:
 def factor_complexity(w: FiniteWord, n: int) -> int:
     """Number of distinct length-n factors of w: the last row of its factor
     table up to n."""
-    w._check_width(n)
-    return int(_factor_counts(w, n)[-1])
-
-
-def _factor_counts(w: FiniteWord, max_n: int) -> np.ndarray:
-    """Factor complexity of w for n = 1..max_n, from one sort.
-
-    Every position p gets the key of w[p:p+max_n] padded with a sentinel
-    letter outside the alphabet, so ell_p = min(max_n, len(w) - p) of its
-    letters are real. In sorted order the keys that share their first n
-    letters are contiguous, so each distinct real length-n factor is counted
-    once: at the first key of its run, which has ell >= n and shares fewer
-    than n letters with the key before it. A key sharing lcp letters with
-    its predecessor thus counts for every n in (lcp, ell]."""
-    size = len(w)
-    top = max_n.bit_length() - 1
-    # the sentinel is added at the rank level, so it fits beside any
-    # alphabet, also one of 256 letters
-    letters = w.rank_level(0)
-    padded = np.concatenate([letters, np.full(max_n - 1, letters.max() + 1, np.int32)])
-    levels = _extend_rank_levels([padded], top)
-    level, off = levels[top], max_n - (1 << top)
-    keys = level[:size]
-    if off:
-        keys = keys.astype(np.int64) * (len(padded) + 1) + level[off : off + size]
-    order = np.argsort(keys).astype(np.int32)
-    # common prefix of each sorted key with the one before it, capped at
-    # max_n, by descending the levels: the two 2^j-blocks after the prefix
-    # found so far are equal exactly when their level-j ranks are. A block
-    # past the cap may start past the level's end; clipping keeps that read
-    # in range, and the cap discards it.
-    first, second = order[:-1], order[1:]
-    lcp = np.zeros(size, np.int32)  # the first key has no predecessor
-    common = lcp[1:]
-    for j in range(top, -1, -1):
-        block = levels[j]
-        same = block.take(first + common, mode="clip") == block.take(second + common, mode="clip")
-        same &= common <= max_n - (1 << j)
-        common += same.astype(np.int32) << j
-    ell = np.minimum(size - order, max_n)
-    starts = np.bincount(lcp + 1, minlength=max_n + 2)
-    ends = np.bincount(ell + 1, minlength=max_n + 2)
-    return np.cumsum(starts - ends)[1 : max_n + 1]
+    return int(w._factor_counts(n)[-1])
 
 
 def is_prefix_normal(w: FiniteWord, letter: str) -> bool:
@@ -156,7 +112,7 @@ def complexity_table(w: FiniteWord, kind: str, max_n: int) -> ComplexityTable:
     if not 1 <= max_n <= len(w):
         raise ValueError(f"max_n {max_n} out of range 1..{len(w)}")
     if kind == "factor":
-        values = _factor_counts(w, max_n).tolist()
+        values = w._factor_counts(max_n).tolist()
     else:
         values = [abelian_complexity(w, n) for n in range(1, max_n + 1)]
     return ComplexityTable(kind, tuple(zip(range(1, max_n + 1), values)))

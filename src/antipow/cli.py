@@ -33,8 +33,8 @@ _GENERATOR_NAMES = (
     "toeplitz_paperfolding_prefix",
 )
 _WORD_LAYER_NAMES = (
-    *_GENERATOR_NAMES, "FiniteWord", "abelian_complexity", "avoidance_scan",
-    "complexity_table", "factor_complexity", "find_first",
+    *_GENERATOR_NAMES, "ComplexityTable", "FiniteWord", "abelian_complexity",
+    "avoidance_scan", "complexity_table", "factor_complexity", "find_first",
 )
 
 
@@ -152,6 +152,7 @@ def cmd_complexity(args) -> int:
         raise ValueError("--max-n exceeds the generated prefix length")
     _bind(_WORD_LAYER_NAMES)
     w = _build_word(args.word, args.instructions, length)
+    table = None
     if args.length is None and args.word != "sierpinski":
         # A prefix that holds every factor of length n holds every shorter
         # one, a prefix of some length-n factor. It does so exactly when it
@@ -161,10 +162,14 @@ def cmd_complexity(args) -> int:
         # that count holds at n = max(max_n, 7).
         n = max(args.max_n, 7)
         known = 4 * n if args.word == "paperfolding" else _thue_morse_factor_complexity(n)
-        while factor_complexity(w, n) != known:
+        while (certificate := complexity_table(w, "factor", n)).rows[-1][1] != known:
             length *= 2
             w = _build_word(args.word, args.instructions, length)
-    table = complexity_table(w, args.kind, args.max_n)
+        if args.kind == "factor":
+            # rows up to max_n do not depend on how far the table goes
+            table = ComplexityTable("factor", certificate.rows[: args.max_n])
+    if table is None:
+        table = complexity_table(w, args.kind, args.max_n)
     if args.fmt == "json":
         _emit("\n".join(json.dumps({"n": n, "value": v}) for n, v in table.rows), args.output)
     else:

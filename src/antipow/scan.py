@@ -124,19 +124,15 @@ def _hit_starts(w: FiniteWord, d: int, m: int, kind: str, stop: int | None = Non
     return alive
 
 
-def _check_scan_args(w: FiniteWord, m: int, kind: str) -> None:
+def find_first(w: FiniteWord, m: int, kind: str, d_max: int | None = None) -> ScanHit | None:
+    """Earliest occurrence (smallest start, ties broken by smallest cell
+    width) of the requested kind with cell width at most d_max."""
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}; expected one of {KINDS}")
     if m < 2:
         raise ValueError("order must be >= 2")
     if len(w) < m:
         raise ValueError("word too short for the requested order")
-
-
-def find_first(w: FiniteWord, m: int, kind: str, d_max: int | None = None) -> ScanHit | None:
-    """Earliest occurrence (smallest start, ties broken by smallest cell
-    width) of the requested kind with cell width at most d_max."""
-    _check_scan_args(w, m, kind)
     if d_max is not None and d_max < 1:
         raise ValueError("d_max must be >= 1")
     limit = len(w) // m
@@ -156,7 +152,6 @@ def find_first(w: FiniteWord, m: int, kind: str, d_max: int | None = None) -> Sc
 
 
 def avoidance_scan(w: FiniteWord, m: int, kind: str) -> bool:
-    """True iff w contains no occurrence of the requested kind, checking
-    every start and every cell width that fits."""
-    _check_scan_args(w, m, kind)
-    return not any(_hit_starts(w, d, m, kind).size for d in range(1, len(w) // m + 1))
+    """True iff w contains no occurrence of the requested kind: with no hit,
+    `find_first` has checked every start and every cell width that fits."""
+    return find_first(w, m, kind) is None

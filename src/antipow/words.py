@@ -25,23 +25,16 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-def _extend_rank_levels(levels: list[np.ndarray], j: int) -> list[np.ndarray]:
-    """Append Karp–Miller–Rosenberg levels to levels, whose entry i holds the
-    dense ranks of the length-2^i factors of one int32 sequence in
-    lexicographic order (entry 0: its letters), until it holds level j.
-    Ranks stay below the sequence length, which bounds the pair keys."""
+def _pair_keys(level: np.ndarray, off: int) -> np.ndarray:
+    """key[p] = level[p] * len(level) + level[p+off] as int64, with rank 0
+    past the end, for a rank level of a terminated word. Its ranks stay
+    below len(level), so equal keys are exactly equal rank pairs."""
     import numpy as np
 
-    n = len(levels[0])
-    if n >= 2**31:
-        raise ValueError("rank levels need a sequence shorter than 2^31 letters")
-    while len(levels) <= j:
-        prev, size = levels[-1], 1 << (len(levels) - 1)
-        valid = n - 2 * size + 1
-        keys = prev[:valid].astype(np.int64) * (n + 1) + prev[size : size + valid]
-        _, ranks = np.unique(keys, return_inverse=True)
-        levels.append(ranks.astype(np.int32))
-    return levels
+    keys = level.astype(np.int64)
+    keys *= len(level)
+    keys[: len(level) - off] += level[off:]
+    return keys
 
 
 @dataclass(frozen=True)
@@ -110,50 +103,97 @@ class FiniteWord:
 
     @cached_property
     def _rank_levels(self) -> list[np.ndarray]:
-        """The rank levels built so far; `rank_level` extends the list."""
+        """The Karp–Miller–Rosenberg levels built so far of the word followed
+        by one terminator that ranks below every letter; `_level` extends
+        the list. Level j holds len+1 int32 ranks, in lexicographic order, of
+        the length-2^j factors at p = 0..len of the word padded with
+        terminators, so the terminator ranks 0 at every level and a read
+        past the end is rank 0."""
         import numpy as np
 
-        if len(self.data) >= 2**31:
+        n = len(self)
+        if n >= 2**31:
             raise ValueError("rank levels need a word shorter than 2^31 letters")
         _, ranks = np.unique(np.frombuffer(self.data, dtype=np.uint8), return_inverse=True)
-        return [ranks.astype(np.int32)]
+        level = np.zeros(n + 1, dtype=np.int32)
+        level[:n] = ranks + 1
+        return [level]
+
+    def _level(self, j: int) -> np.ndarray:
+        """Terminated rank level j, doubling the levels up to it on first use."""
+        import numpy as np
+
+        levels = self._rank_levels
+        while len(levels) <= j:
+            keys = _pair_keys(levels[-1], 1 << (len(levels) - 1))
+            _, ranks = np.unique(keys, return_inverse=True)
+            levels.append(ranks.astype(np.int32))
+        return levels[j]
 
     def rank_level(self, j: int) -> np.ndarray:
         """level[p] is the equality class of the length-2^j factor at 0-based
-        position p, as a dense int32 rank. Karp–Miller–Rosenberg rank
-        doubling builds the levels up to j on first use, so classes are
-        exact and no level above the widest one read is built."""
-        n = len(self.data)
+        position p, as an exact int32 rank: equal exactly when the factors
+        are. Karp–Miller–Rosenberg rank doubling builds the levels up to j
+        on first use, so no level above the widest one read is built."""
+        n = len(self)
         if j < 0 or (1 << j) > n:
             raise ValueError(f"rank level {j} out of range for length {n}")
-        levels = self._rank_levels
-        if len(levels) <= j:
-            _extend_rank_levels(levels, j)
-        return levels[j]
+        return self._level(j)[: n - (1 << j) + 1]
 
     def _check_width(self, d: int) -> None:
         if not 1 <= d <= len(self):
             raise ValueError(f"factor length {d} out of range 1..{len(self)}")
 
     def _level_and_offset(self, d: int) -> tuple[np.ndarray, int]:
-        """The rank level of the largest power of two 2^j <= d, and
-        off = d - 2^j: the length-d factor at p is covered by the two
+        """The terminated rank level of the largest power of two 2^j <= d,
+        and off = d - 2^j: the length-d factor at p is covered by the two
         overlapping length-2^j factors at p and p+off."""
         self._check_width(d)
         j = d.bit_length() - 1
-        return self.rank_level(j), d - (1 << j)
+        return self._level(j), d - (1 << j)
 
     def factor_keys(self, d: int) -> np.ndarray:
         """One integer per length-d factor, in order of position, equal
         exactly when the factors are equal. For d a power of two the keys
-        are the dense ranks of a rank level."""
+        are the exact int32 ranks of a rank level."""
         level, off = self._level_and_offset(d)
-        if not off:
-            return level
+        keys = _pair_keys(level, off) if off else level
+        return keys[: len(self) - d + 1]
+
+    def _factor_counts(self, max_n: int) -> np.ndarray:
+        """Factor complexity for n = 1..max_n, from one sort.
+
+        Every position p gets the key of its length-max_n factor in the
+        word padded with terminators, so ell_p = min(max_n, len - p) of its
+        letters are real. In sorted order the keys that share their first
+        n letters are contiguous, so each distinct real length-n factor is
+        counted once: at the first key of its run, which has ell >= n and
+        shares fewer than n letters with the key before it. A key sharing
+        lcp letters with its predecessor thus counts for every n in
+        (lcp, ell]."""
         import numpy as np
 
-        valid = len(self) - d + 1
-        return level[:valid].astype(np.int64) * (len(self) + 1) + level[off : off + valid]
+        size = len(self)
+        level, off = self._level_and_offset(max_n)
+        keys = _pair_keys(level, off) if off else level
+        order = np.argsort(keys[:size]).astype(np.int32)
+        # common prefix of each sorted key with the one before it, capped at
+        # max_n, by descending the levels: the two 2^j-blocks after the
+        # prefix found so far are equal exactly when their level-j ranks
+        # are. Two distinct padded suffixes differ at the end of the shorter
+        # one, so no block starts past index len.
+        first, second = order[:-1], order[1:]
+        lcp = np.zeros(size, np.int32)  # the first key has no predecessor
+        common = lcp[1:]
+        for j in range(max_n.bit_length() - 1, -1, -1):
+            block = self._level(j)
+            same = block.take(first + common) == block.take(second + common)
+            same &= common <= max_n - (1 << j)
+            common += same.astype(np.int32) << j
+        ell = np.minimum(size - order, max_n)
+        starts = np.bincount(lcp + 1, minlength=max_n + 2)
+        ends = np.bincount(ell + 1, minlength=max_n + 2)
+        return np.cumsum(starts - ends)[1 : max_n + 1]
 
     def next_cell_equal(self, d: int, abelian: bool) -> np.ndarray:
         """Boolean per position p = 0..len-2d: whether the length-d factor at

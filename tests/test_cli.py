@@ -8,6 +8,8 @@ import pytest
 from antipow import (
     REGULAR,
     AntipowerCertificate,
+    ComplexityTable,
+    FiniteWord,
     abelian_complexity,
     factor_complexity,
     sierpinski_prefix,
@@ -128,11 +130,31 @@ def test_complexity_default_prefix_doubles_within_the_budget(capsys, monkeypatch
 
     # a count that never certifies the prefix doubles it up to the budget
     monkeypatch.setattr("antipow.cli.toeplitz_paperfolding_prefix", short_word)
-    monkeypatch.setattr("antipow.cli.factor_complexity", lambda w, n: 0)
+    monkeypatch.setattr(
+        "antipow.cli.complexity_table", lambda w, kind, max_n: ComplexityTable(kind, ((max_n, 1),))
+    )
     code, out, err = run(capsys, "complexity", "paperfolding", "(+)", "--max-n", "64")
     assert code == 2 and out == ""
     assert "exceeds the budget of 2147483647 letters" in err
     assert lengths == [2**k for k in range(14, 31)]
+
+
+@pytest.mark.parametrize("kind", ["factor", "abelian"])
+def test_complexity_default_prefix_gets_one_factor_pass_each(capsys, monkeypatch, kind):
+    # the certificate's factor table also gives the rows of a factor query,
+    # so the final prefix is not sorted a second time
+    lengths = []
+    factor_counts = FiniteWord._factor_counts
+
+    def counted(w, max_n):
+        lengths.append(len(w))
+        return factor_counts(w, max_n)
+
+    monkeypatch.setattr(FiniteWord, "_factor_counts", counted)
+    code, out, _ = run(capsys, "complexity", "paperfolding", "(+)", "--kind", kind,
+                       "--max-n", "2434")
+    assert code == 0 and len(_rows(out)) == 2434
+    assert lengths == [2**14, 2**15]
 
 
 def test_complexity_json_format(capsys):

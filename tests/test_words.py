@@ -17,7 +17,6 @@ from antipow import (
     sierpinski_prefix,
     toeplitz_paperfolding_prefix,
 )
-from antipow.words import _extend_rank_levels
 
 REGULAR_32 = "00100110001101100010011100110110"
 
@@ -277,16 +276,24 @@ def test_rank_levels_are_exact_and_built_only_up_to_the_level_read():
         classes = {}
         for p, rank in enumerate(level.tolist()):
             assert classes.setdefault(w.data[p : p + (1 << j)], rank) == rank
-        assert sorted(classes.values()) == list(range(len(classes)))
+        # the terminated suffixes take ranks too, so distinct factors have
+        # distinct ranks that need not run from 0
+        assert len(set(classes.values())) == len(classes)
     assert len(w._rank_levels) == 9
     with pytest.raises(ValueError, match="out of range"):
         w.rank_level(9)
 
 
 def test_rank_levels_refuse_sequences_whose_pair_keys_overflow():
-    # a broadcast view has 2^31 entries without allocating them
-    with pytest.raises(ValueError, match="shorter than 2\\^31"):
-        _extend_rank_levels([np.broadcast_to(np.int32(0), (2**31,))], 1)
+    class LongWord(FiniteWord):
+        # a length of 2^31 without allocating the letters
+        def __len__(self):
+            return 2**31
+
+    w = LongWord(("a", "b"), b"\x00")
+    for read in (lambda: w.rank_level(0), lambda: w.factor_keys(3)):
+        with pytest.raises(ValueError, match="shorter than 2\\^31"):
+            read()
 
 
 def test_random_instruction_sequences_oracle_consistency():
