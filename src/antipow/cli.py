@@ -11,44 +11,26 @@ import argparse
 import json
 import sys
 from importlib import import_module
+from typing import TYPE_CHECKING
 
-from .calculus import (
-    additivity_combine,
-    additivity_precheck,
-    construct_antipower,
-    delta_interval,
-    delta_vector,
-)
-from .instructions import InstructionSequence
+if TYPE_CHECKING:
+    from .instructions import InstructionSequence
+    from .words import FiniteWord
 
-# Names from the word layers. `_bind` binds them here through the package's
-# lazy loader when a word is built or one is read as a module attribute. A
-# generated word needs only the four generator names, which load no numpy;
-# complexity and scan bind all of them, which loads numpy, and construct and
-# delta bind none. A name already bound wins: the bench tracer and tests
-# replace these as attributes of this module, and abelian_complexity,
-# factor_complexity and avoidance_scan are listed for the tracer to wrap.
-_GENERATOR_NAMES = (
-    "THUE_MORSE_MORPHISM", "morphism_prefix", "sierpinski_prefix",
-    "toeplitz_paperfolding_prefix",
-)
-_WORD_LAYER_NAMES = (
-    *_GENERATOR_NAMES, "ComplexityTable", "FiniteWord", "abelian_complexity",
-    "avoidance_scan", "complexity_table", "factor_complexity", "find_first",
-)
-
-
-def _bind(names: tuple[str, ...]) -> None:
-    package = import_module(__package__)
-    for name in names:
-        globals().setdefault(name, getattr(package, name))
+# the commands read library names as attributes of this module, so each
+# command imports only the layers it calls, and a name set here (a test's or
+# the bench tracer's replacement) is the one called
+_cli = sys.modules[__name__]
 
 
 def __getattr__(name: str):
-    if name in _WORD_LAYER_NAMES:
-        _bind((name,))
-        return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    """Bind a public name of the package here on first read, through the
+    package's lazy loader."""
+    package = import_module(__package__)
+    if name not in package.__all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(package, name)
+    return value
 
 
 WORDS = ("sierpinski", "thue-morse", "paperfolding")
@@ -96,12 +78,11 @@ def _build_word(word: str, instructions: InstructionSequence | None, length: int
     if length < 1:
         raise ValueError("length must be >= 1")
     _check_array_length(length)
-    _bind(_GENERATOR_NAMES)
     if word == "sierpinski":
-        return sierpinski_prefix(length)
+        return _cli.sierpinski_prefix(length)
     if word == "thue-morse":
-        return morphism_prefix(THUE_MORSE_MORPHISM, "0", length)
-    return toeplitz_paperfolding_prefix(instructions, length)
+        return _cli.morphism_prefix(_cli.THUE_MORSE_MORPHISM, "0", length)
+    return _cli.toeplitz_paperfolding_prefix(instructions, length)
 
 
 def _resolve_instructions(args) -> InstructionSequence | None:
@@ -113,7 +94,7 @@ def _resolve_instructions(args) -> InstructionSequence | None:
             raise ValueError("paperfolding requires an instruction string such as '(+)'")
     elif word is not None and text is not None:
         raise ValueError(f"{word} takes no instruction string")
-    return InstructionSequence.parse(text) if text is not None else None
+    return _cli.InstructionSequence.parse(text) if text is not None else None
 
 
 def cmd_generate(args) -> int:
@@ -150,7 +131,6 @@ def cmd_complexity(args) -> int:
     length = _complexity_word_length(args)
     if args.max_n > length:
         raise ValueError("--max-n exceeds the generated prefix length")
-    _bind(_WORD_LAYER_NAMES)
     w = _build_word(args.word, args.instructions, length)
     table = None
     if args.length is None and args.word != "sierpinski":
@@ -162,14 +142,14 @@ def cmd_complexity(args) -> int:
         # that count holds at n = max(max_n, 7).
         n = max(args.max_n, 7)
         known = 4 * n if args.word == "paperfolding" else _thue_morse_factor_complexity(n)
-        while (certificate := complexity_table(w, "factor", n)).rows[-1][1] != known:
+        while (certificate := _cli.complexity_table(w, "factor", n)).rows[-1][1] != known:
             length *= 2
             w = _build_word(args.word, args.instructions, length)
         if args.kind == "factor":
             # rows up to max_n do not depend on how far the table goes
-            table = ComplexityTable("factor", certificate.rows[: args.max_n])
+            table = _cli.ComplexityTable("factor", certificate.rows[: args.max_n])
     if table is None:
-        table = complexity_table(w, args.kind, args.max_n)
+        table = _cli.complexity_table(w, args.kind, args.max_n)
     if args.fmt == "json":
         _emit("\n".join(json.dumps({"n": n, "value": v}) for n, v in table.rows), args.output)
     else:
@@ -182,10 +162,9 @@ def cmd_scan(args) -> int:
         raise ValueError("--order must be >= 2")
     if args.avoidance and args.d_max is not None:
         raise ValueError("--d-max cannot be combined with --avoidance, which checks every width")
-    _bind(_WORD_LAYER_NAMES)
     w = _build_word(args.word, args.instructions, args.length)
     # with no hit, find_first has looked at every split, which verifies avoidance
-    hit = find_first(w, args.order, args.kind.replace("-", "_"), d_max=args.d_max)
+    hit = _cli.find_first(w, args.order, args.kind.replace("-", "_"), d_max=args.d_max)
     if hit is None:
         text = "none found: avoidance verified" if args.avoidance else "none"
     elif args.fmt == "text":
@@ -197,7 +176,7 @@ def cmd_scan(args) -> int:
 
 
 def cmd_construct(args) -> int:
-    cert = construct_antipower(args.instructions, args.order)
+    cert = _cli.construct_antipower(args.instructions, args.order)
     _emit(cert.to_json(), args.output)
     return 0 if cert.verified else 3
 
@@ -228,9 +207,9 @@ def cmd_delta(args) -> int:
     mode = _delta_mode(args)
     b, l, code = args.instructions, args.l, 0
     if mode == "precheck":
-        report = additivity_precheck(b, l, args.d, args.l2, args.d2, args.m, args.r)
+        report = _cli.additivity_precheck(b, l, args.d, args.l2, args.d2, args.m, args.r)
         if report.ok:
-            cl, cd = additivity_combine(b, l, args.d, args.l2, args.d2, args.m, args.r)
+            cl, cd = _cli.additivity_combine(b, l, args.d, args.l2, args.d2, args.m, args.r)
             record = {"ok": True, "l": str(cl), "d": str(cd)}
             text = f"precheck: ok\ncombined: l={cl} d={cd}"
         else:
@@ -238,10 +217,10 @@ def cmd_delta(args) -> int:
             record = {"ok": False, "violations": list(report.violations)}
             text = "\n".join(["precheck: violation"] + [f"  {v}" for v in report.violations])
     elif mode == "scalar":
-        value = delta_interval(b, l, args.n)
+        value = _cli.delta_interval(b, l, args.n)
         record, text = {"l": str(l), "n": str(args.n), "delta": value}, str(value)
     else:
-        vec = delta_vector(b, l, args.d, args.m).components
+        vec = _cli.delta_vector(b, l, args.d, args.m).components
         record = {"l": str(l), "d": str(args.d), "m": args.m, "delta": list(vec)}
         text = "(" + ",".join(map(str, vec)) + ")"
     _emit(json.dumps(record) if args.fmt == "json" else text, args.output)

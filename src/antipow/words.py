@@ -89,7 +89,8 @@ class FiniteWord:
     def cum_counts(self) -> np.ndarray:
         """(len+1, |alphabet|) cumulative letter counts; row t is the Parikh
         vector of the prefix of length t. The array is int32 in column-major
-        order, so each letter's column is one contiguous array."""
+        order, so each letter's column is one contiguous array, and
+        read-only, since every later answer on the word reads it."""
         import numpy as np
 
         n = len(self.data)
@@ -99,16 +100,17 @@ class FiniteWord:
         out = np.zeros((n + 1, len(self.alphabet)), dtype=np.int32, order="F")
         for j in range(len(self.alphabet)):
             np.cumsum(arr == j, out=out[1:, j])
+        out.flags.writeable = False
         return out
 
     @cached_property
     def _rank_levels(self) -> list[np.ndarray]:
         """The Karp–Miller–Rosenberg levels built so far of the word followed
         by one terminator that ranks below every letter; `_level` extends
-        the list. Level j holds len+1 int32 ranks, in lexicographic order, of
-        the length-2^j factors at p = 0..len of the word padded with
-        terminators, so the terminator ranks 0 at every level and a read
-        past the end is rank 0."""
+        the list. Level j holds len+1 read-only int32 ranks, in lexicographic
+        order, of the length-2^j factors at p = 0..len of the word padded
+        with terminators, so the terminator ranks 0 at every level and a
+        read past the end is rank 0."""
         import numpy as np
 
         n = len(self)
@@ -117,6 +119,7 @@ class FiniteWord:
         _, ranks = np.unique(np.frombuffer(self.data, dtype=np.uint8), return_inverse=True)
         level = np.zeros(n + 1, dtype=np.int32)
         level[:n] = ranks + 1
+        level.flags.writeable = False
         return [level]
 
     def _level(self, j: int) -> np.ndarray:
@@ -127,7 +130,9 @@ class FiniteWord:
         while len(levels) <= j:
             keys = _pair_keys(levels[-1], 1 << (len(levels) - 1))
             _, ranks = np.unique(keys, return_inverse=True)
-            levels.append(ranks.astype(np.int32))
+            level = ranks.astype(np.int32)
+            level.flags.writeable = False
+            levels.append(level)
         return levels[j]
 
     def rank_level(self, j: int) -> np.ndarray:

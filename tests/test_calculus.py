@@ -262,6 +262,21 @@ def test_find_seed_block_alternating_instructions():
     assert len(set(vecs)) == 2
 
 
+def test_find_seed_block_skips_a_center_whose_halves_differ():
+    b = InstructionSequence.parse("(-)")
+    assert find_seed_block(b, 1, 1) == 28
+    # the earlier center 20 has its block at 12, which no letter of order
+    # above 6 enters and whose base vectors are distinct, but whose halves
+    # differ as words
+    half = 2**3
+    assert 12 >> 7 == (12 + 2 * half - 1) >> 7
+    assert len({delta_vector(b, 12 + 2 * i, 2, 2).components for i in range(2)}) == 2
+    assert any(
+        paperfolding_letter(b, 12 + i) != paperfolding_letter(b, 12 + half + i)
+        for i in range(1, half)
+    )
+
+
 def test_find_seed_block_validation():
     with pytest.raises(ValueError):
         find_seed_block(REGULAR, 1, 0)

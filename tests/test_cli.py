@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import shlex
 import sys
@@ -5,12 +6,15 @@ from pathlib import Path
 
 import pytest
 
+import antipow.calculus
 from antipow import (
     REGULAR,
     AntipowerCertificate,
     ComplexityTable,
+    DeltaVector,
     FiniteWord,
     abelian_complexity,
+    construct_antipower,
     factor_complexity,
     sierpinski_prefix,
     toeplitz_paperfolding_prefix,
@@ -344,6 +348,30 @@ def test_construct_rejects_order_one(capsys):
     assert code == 2
 
 
+def test_construct_exits_3_when_the_assembled_vector_is_not_the_weighted_sum(capsys, monkeypatch):
+    real = antipow.calculus.delta_vector
+
+    def skewed(b, l, d, m):
+        # the seed's base vectors have width 2; only the assembled geometry is wider
+        vec = real(b, l, d, m)
+        return vec + DeltaVector((1,) * m) if d > 2 else vec
+
+    monkeypatch.setattr(antipow.calculus, "delta_vector", skewed)
+    code, out, err = run(capsys, "construct", "--instructions", "(+)", "--order", "4")
+    assert code == 3 and out == ""
+    assert "does not match the weighted sum" in err
+
+
+def test_construct_exits_3_on_an_unverified_certificate(capsys, monkeypatch):
+    def unverified(b, m):
+        return dataclasses.replace(construct_antipower(b, m), verified=False)
+
+    monkeypatch.setattr("antipow.cli.construct_antipower", unverified)
+    code, out, _ = run(capsys, "construct", "--instructions", "(+)", "--order", "2")
+    assert code == 3 and '"verified": false' in out
+    assert AntipowerCertificate.from_json(out).start == 100
+
+
 def test_delta_vector_output(capsys):
     code, out, _ = run(capsys, "delta", "--instructions", "(+)", "--l", "0", "--d", "2", "--m", "2")
     assert code == 0 and out == "(0,1)\n"
@@ -452,6 +480,23 @@ def test_unread_option_exits_2(capsys, argv):
 def test_abbreviated_option_exits_2(capsys, argv):
     code, out, _ = run(capsys, *argv)
     assert code == 2 and out == ""
+
+
+OUT_OF_RANGE = [
+    (("generate", "thue-morse", "--length", "0"), "length must be >= 1"),
+    (("complexity", "thue-morse", "--max-n", "0"), "--max-n must be >= 1"),
+    (("complexity", "paperfolding", "(+)", "--max-n", "5", "--length", "3"),
+     "--max-n exceeds the generated prefix length"),
+    (("scan", "sierpinski", "--length", "100", "--order", "3", "--kind", "antipower",
+      "--d-max", "0"), "d_max must be >= 1"),
+]
+
+
+@pytest.mark.parametrize("argv, message", OUT_OF_RANGE,
+                         ids=[" ".join(argv) for argv, _ in OUT_OF_RANGE])
+def test_out_of_range_values_exit_2(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and message in err
 
 
 def test_readme_cli_examples_run(capsys):

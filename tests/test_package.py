@@ -1,5 +1,8 @@
-"""The package's public names load on first use, and the big-integer
-commands (`construct`, `delta`) and `generate` run without importing numpy."""
+"""The package's public names load on first use, and `antipow.cli` reads
+them through the package's loader, so each command imports only the layers
+it calls: the big-integer commands (`construct`, `delta`) load no word layer,
+`generate` loads no numpy, and `complexity` and `scan` load numpy but not
+each other's layer or `calculus`."""
 
 import os
 import subprocess
@@ -38,13 +41,18 @@ PUBLIC_NAMES = [
 ]
 
 
-def numpy_imported_after(code: str) -> bool:
-    """Run code in a fresh interpreter and report whether it imported numpy."""
-    script = f"{code}\nimport sys\nprint('numpy' in sys.modules)"
+def modules_after(code: str) -> set[str]:
+    """Run code in a fresh interpreter; the antipow submodules and numpy it imported."""
+    script = (f"{code}\nimport sys\n"
+              "print(*(m for m in sys.modules if m == 'numpy' or m.startswith('antipow.')))")
     proc = subprocess.run(
         [sys.executable, "-c", script], env=ENV, capture_output=True, text=True, check=True
     )
-    return proc.stdout.splitlines()[-1] == "True"
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+def main_code(argv: list[str]) -> str:
+    return f"from antipow.cli import main\nif main({argv!r}) != 0: raise SystemExit(1)"
 
 
 @pytest.mark.parametrize(
@@ -53,14 +61,31 @@ def numpy_imported_after(code: str) -> bool:
         ("import antipow", False),
         ("import antipow.cli", False),
         ("import antipow\nantipow.InstructionSequence.parse('(+)')", False),
-        (f"from antipow.cli import main\nif main({DELTA!r}) != 0: raise SystemExit(1)", False),
-        (f"from antipow.cli import main\nif main({CONSTRUCT!r}) != 0: raise SystemExit(1)", False),
-        (f"from antipow.cli import main\nif main({GENERATE!r}) != 0: raise SystemExit(1)", False),
+        (main_code(DELTA), False),
+        (main_code(CONSTRUCT), False),
+        (main_code(GENERATE), False),
     ],
     ids=["import", "import cli", "instructions", "main delta", "main construct", "main generate"],
 )
 def test_numpy_is_imported_only_by_the_word_layers(code, imported):
-    assert numpy_imported_after(code) is imported
+    assert ("numpy" in modules_after(code)) is imported
+
+
+@pytest.mark.parametrize(
+    "argv, layers",
+    [
+        (GENERATE_PAPERFOLDING, {"words"}),
+        (COMPLEXITY, {"words", "abelian", "numpy"}),
+        (SCAN, {"words", "scan", "numpy"}),
+        (CONSTRUCT, {"calculus"}),
+        (DELTA, {"calculus"}),
+    ],
+    ids=["generate", "complexity", "scan", "construct", "delta"],
+)
+def test_each_command_imports_only_the_layers_it_calls(argv, layers):
+    expected = {"antipow.cli", "antipow.instructions"}
+    expected |= {name if name == "numpy" else f"antipow.{name}" for name in layers}
+    assert modules_after(main_code(argv)) == expected
 
 
 @pytest.mark.parametrize(
@@ -97,3 +122,13 @@ def test_every_listed_name_resolves():
     assert antipow.calculus.paperfolding_letter is antipow.words.paperfolding_letter
     with pytest.raises(AttributeError):
         antipow.no_such_name
+
+
+def test_cli_binds_only_public_names_on_first_read():
+    import antipow.cli
+
+    assert antipow.cli.find_first is antipow.find_first
+    assert antipow.cli.construct_antipower is antipow.calculus.construct_antipower
+    for name in ("no_such_name", "cli", "instructions", "_ORIGIN"):
+        with pytest.raises(AttributeError, match="antipow.cli"):
+            getattr(antipow.cli, name)

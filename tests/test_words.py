@@ -12,6 +12,9 @@ from antipow import (
     REGULAR,
     SIERPINSKI_MORPHISM,
     THUE_MORSE_MORPHISM,
+    abelian_complexity,
+    factor_complexity,
+    find_first,
     morphism_prefix,
     paperfolding_letter,
     sierpinski_prefix,
@@ -282,6 +285,21 @@ def test_rank_levels_are_exact_and_built_only_up_to_the_level_read():
     assert len(w._rank_levels) == 9
     with pytest.raises(ValueError, match="out of range"):
         w.rank_level(9)
+
+
+def test_cached_arrays_are_read_only():
+    # every later answer on the word reads the cached arrays, so a caller's
+    # write into one must fail instead of changing those answers
+    w = toeplitz_paperfolding_prefix(REGULAR, 64)
+    answers = lambda: (abelian_complexity(w, 5), factor_complexity(w, 8),
+                       find_first(w, 2, "antipower"), find_first(w, 3, "abelian_power"))
+    before = answers()
+    for array in (w.cum_counts, w.factor_keys(1), *(w.rank_level(j) for j in range(7))):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1
+    assert len(w._rank_levels) == 7
+    assert answers() == before
+    assert before[1] == 32
 
 
 def test_rank_levels_refuse_sequences_whose_pair_keys_overflow():
