@@ -64,9 +64,12 @@ def cyclic_shift_spectrum(f: FiniteWord, u: int) -> set[int]:
     """Shifts q in 1..2^{n-u} by which the sequence of block classes of f
     (cut into consecutive blocks of length 2^u) equals its own rotation.
 
-    f must have length 2^n with n >= u+2. The block count is always in the
-    spectrum; for paperfolding factors it is the only member.
+    f must be over a binary alphabet, where a block's class is its count of
+    ones (`phi_u`), and have length 2^n with n >= u+2. The block count is
+    always in the spectrum; for paperfolding factors it is the only member.
     """
+    if len(f.alphabet) != 2:
+        raise ValueError("word must be over a binary alphabet")
     if u < 1:
         raise ValueError("block exponent must be >= 1")
     size = len(f)

@@ -22,7 +22,6 @@ import json
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from typing import Iterable
 
 from .instructions import InstructionSequence, paperfolding_letter
@@ -91,12 +90,15 @@ def epsilon(b: InstructionSequence, k: int, bit: int, a: int, n: int) -> int:
     return excess
 
 
-@lru_cache(maxsize=64)
-def _instruction_masks(b: InstructionSequence, size: int) -> tuple[int, int]:
-    """Bitmasks P_b and M_b over orders 0..size-1: bit k of P_b is set when
-    b_k = +1, bit k of M_b when b_k = -1."""
-    plus = int("".join("1" if b.at(k) == 1 else "0" for k in reversed(range(size))), 2)
-    return plus, plus ^ ((1 << size) - 1)
+def _plus_mask(b: InstructionSequence, size: int) -> int:
+    """Bitmask P_b over at least orders 0..size-1: bit k is set when b_k = +1.
+    The periodic tail is the period's bits times a repunit of period-wide
+    digits, shifted past the preperiod."""
+    pre, per = len(b.preperiod), len(b.period)
+    bits = lambda vs: sum(1 << k for k, v in enumerate(vs) if v == 1)
+    copies = max(size - pre, 0) // per + 1
+    repunit = ((1 << per * copies) - 1) // ((1 << per) - 1)
+    return bits(b.preperiod) | (bits(b.period) * repunit) << pre
 
 
 def _baseline(length: int) -> int:
@@ -110,16 +112,15 @@ def ones_upto(b: InstructionSequence, n: int) -> int:
     The order-k ones up to n number floor((n + (2 - b_k) 2^k) / 2^{k+2}):
     the baseline floor(n / 2^{k+2}) plus one exactly when bits k and k+1 of
     n are both set (b_k = +1) or either is set (b_k = -1). Summed over all
-    orders this is the baseline plus two masked popcounts.
+    orders this is the baseline plus two masked popcounts, over P_b and its
+    complement ~P_b (n | n >> 1 has no bits past n's bit length, so the
+    infinite two's-complement ones of ~P_b beyond P_b never count).
     """
     if n < 0:
         raise ValueError("position must be >= 0")
-    # smallest power of two covering max(64, bit length of n): masks grow by
-    # doubling, so each sequence caches only a few sizes
-    size = 1 << max(n.bit_length() - 1, 63).bit_length()
-    plus, minus = _instruction_masks(b, size)
+    plus = _plus_mask(b, n.bit_length())
     half = n >> 1
-    return _baseline(n) + (n & half & plus).bit_count() + ((n | half) & minus).bit_count()
+    return _baseline(n) + (n & half & plus).bit_count() + ((n | half) & ~plus).bit_count()
 
 
 def _interval_ones(b: InstructionSequence, a: int, n: int) -> int:
@@ -249,29 +250,14 @@ def additivity_precheck(
 
 
 def additivity_combine(
-    b: InstructionSequence,
-    l: int,
-    d: int,
-    lp: int,
-    dp: int,
-    m: int,
-    r: int,
-    check: bool = False,
+    b: InstructionSequence, l: int, d: int, lp: int, dp: int, m: int, r: int
 ) -> tuple[int, int]:
     """Combined geometry (l + 2^r lp, d + 2^r dp) whose delta vector is the
-    componentwise sum of the two inputs. With check=True the sum identity is
-    re-verified by closed-form counting (costly for huge geometries)."""
+    componentwise sum of the two inputs."""
     report = additivity_precheck(b, l, d, lp, dp, m, r)
     if not report.ok:
         raise ValueError("additivity precheck failed: " + "; ".join(report.violations))
-    combined_l = l + (lp << r)
-    combined_d = d + (dp << r)
-    if check:
-        lhs = delta_vector(b, l, d, m) + delta_vector(b, lp, dp, m)
-        rhs = delta_vector(b, combined_l, combined_d, m)
-        if lhs != rhs:
-            raise ArithmeticError(f"additivity identity violated: {lhs} != {rhs}")
-    return combined_l, combined_d
+    return l + (lp << r), d + (dp << r)
 
 
 def choose_r(b: InstructionSequence, min_exponent_bound: int, constraint_orders: Iterable[int]) -> int:
@@ -294,12 +280,13 @@ def choose_r(b: InstructionSequence, min_exponent_bound: int, constraint_orders:
 
 
 def find_seed_block(b: InstructionSequence, u: int, k: int) -> int:
-    """Even start lp of a seed factor for the antipower construction.
+    """Even start l of a seed factor for the antipower construction.
 
     Scans the ones of order u+k as block centers c; the factor occupies
-    (lp, lp + 2^{u+k+2}) and must satisfy: the block of length 2^{u+k+2}-1
-    around c has equal halves, no letter of order above u+k+4, and the 2^k
-    base vectors Delta(lp + 2^u i, 2^u, 2^k) are pairwise distinct.
+    (l, l + 2^{u+k+2}) with l = c - 2^{u+k+1} a multiple of 2^{u+k}, and must
+    satisfy: the block of length 2^{u+k+2}-1 around c has equal halves, no
+    letter of order above u+k+4, and the 2^k base vectors
+    Delta(l + 2^u i, 2^u, 2^k) are pairwise distinct.
     """
     if k < 1:
         raise ValueError("power exponent must be >= 1")
@@ -314,7 +301,6 @@ def find_seed_block(b: InstructionSequence, u: int, k: int) -> int:
         l = c - half
         if l < 0:
             continue
-        lp = l if l % 2 == 0 else l + 1
         if any(
             paperfolding_letter(b, l + i) != paperfolding_letter(b, l + half + i)
             for i in range(1, half)
@@ -323,10 +309,10 @@ def find_seed_block(b: InstructionSequence, u: int, k: int) -> int:
         # a letter of order > u+k+4 is a multiple of 2^{u+k+5}
         if ((l + 2 * half - 1) >> (center_order + 5)) > (l >> (center_order + 5)):
             continue
-        bases = [delta_vector(b, lp + i * width, width, cells) for i in range(cells)]
+        bases = [delta_vector(b, l + i * width, width, cells) for i in range(cells)]
         if len({v.components for v in bases}) != cells:
             continue
-        return lp
+        return l
     raise ValueError(f"no seed block found among the first {SEED_SCAN_BOUND + 1} candidate centers")
 
 

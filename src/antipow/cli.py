@@ -120,9 +120,8 @@ def _complexity_word_length(args) -> int:
         # every factor of length n <= 3^k of the infinite word occurs in its
         # prefix of length 3^(k+1), so this one prefix gives exact values
         return 3 ** (_ceil_log3(args.max_n) + 1)
-    if args.word == "thue-morse":
-        return max(1024, _next_pow2(4 * args.max_n))
-    return max(2**14, _next_pow2(4 * args.max_n))
+    # cmd_complexity doubles this prefix until it holds every factor
+    return _next_pow2(4 * max(args.max_n, 7))
 
 
 def cmd_complexity(args) -> int:

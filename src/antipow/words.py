@@ -135,16 +135,6 @@ class FiniteWord:
             levels.append(level)
         return levels[j]
 
-    def rank_level(self, j: int) -> np.ndarray:
-        """level[p] is the equality class of the length-2^j factor at 0-based
-        position p, as an exact int32 rank: equal exactly when the factors
-        are. Karp–Miller–Rosenberg rank doubling builds the levels up to j
-        on first use, so no level above the widest one read is built."""
-        n = len(self)
-        if j < 0 or (1 << j) > n:
-            raise ValueError(f"rank level {j} out of range for length {n}")
-        return self._level(j)[: n - (1 << j) + 1]
-
     def _check_width(self, d: int) -> None:
         if not 1 <= d <= len(self):
             raise ValueError(f"factor length {d} out of range 1..{len(self)}")
@@ -160,7 +150,9 @@ class FiniteWord:
     def factor_keys(self, d: int) -> np.ndarray:
         """One integer per length-d factor, in order of position, equal
         exactly when the factors are equal. For d a power of two the keys
-        are the exact int32 ranks of a rank level."""
+        are the exact int32 ranks of a rank level. Karp–Miller–Rosenberg
+        rank doubling builds the levels up to log2(d) on first use, so no
+        level above the widest one read is built."""
         level, off = self._level_and_offset(d)
         keys = _pair_keys(level, off) if off else level
         return keys[: len(self) - d + 1]

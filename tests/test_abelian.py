@@ -183,6 +183,12 @@ def test_cyclic_shift_spectrum_validation():
         cyclic_shift_spectrum(FiniteWord.from_text("01", ("0", "1")), 1)
     with pytest.raises(ValueError):
         cyclic_shift_spectrum(FiniteWord.from_text("01010101", ("0", "1")), 0)
+    # over three letters one letter's count is not the block class: the
+    # Parikh classes ab, bc, ab, bc repeat at shifts 2 and 4 only
+    with pytest.raises(ValueError, match="binary"):
+        cyclic_shift_spectrum(FiniteWord.from_text("abbcabbc", ABC), 1)
+    with pytest.raises(ValueError, match="binary"):
+        cyclic_shift_spectrum(FiniteWord.from_text("aaaaaaaa", ("a",)), 1)
 
 
 def test_complexity_table_csv():

@@ -1,9 +1,8 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-import antipow.calculus
 from antipow import (
     BlockSplit,
     DeltaVector,
@@ -28,7 +27,7 @@ from antipow import (
     paperfolding_letter,
     toeplitz_paperfolding_prefix,
 )
-from antipow.calculus import _instruction_masks, _interval_ones
+from antipow.calculus import _interval_ones
 from conftest import brute_delta, brute_delta_vector, brute_ones, materialized
 
 ALT = InstructionSequence.parse("(-+)")
@@ -175,9 +174,9 @@ def test_additivity_precheck_instruction_mismatch():
 
 
 def test_additivity_combine_worked_examples():
-    assert additivity_combine(REGULAR, 0, 2, 0, 2, 2, 4, check=True) == (0, 34)
+    assert additivity_combine(REGULAR, 0, 2, 0, 2, 2, 4) == (0, 34)
     assert delta_vector(REGULAR, 0, 34, 2).components == (0, 2)
-    assert additivity_combine(REGULAR, 0, 2, 6, 2, 2, 4, check=True) == (96, 34)
+    assert additivity_combine(REGULAR, 0, 2, 6, 2, 2, 4) == (96, 34)
     w = materialized(REGULAR, 256)
     assert brute_delta_vector(w, 0, 34, 2) == (0, 2)
     assert brute_delta_vector(w, 96, 34, 2) == tuple(
@@ -203,7 +202,7 @@ def test_additivity_randomized_instances_against_brute_force():
             dp = 2 * rng.randint(1, 4)
             lp = 2 * rng.randint(0, 16)
             r = choose_r(b, l + m * d, differing_orders(b, lp, dp, m))
-            ln, dn = additivity_combine(b, l, d, lp, dp, m, r, check=True)
+            ln, dn = additivity_combine(b, l, d, lp, dp, m, r)
             assert ln + m * dn <= len(w)
             lhs = tuple(
                 x + y
@@ -372,8 +371,25 @@ def test_ones_upto_examples_and_validation():
         _interval_ones(REGULAR, 5, 5)
 
 
+# long preperiods and periods, so the mask's preperiod part and the last
+# period copy both reach past the bits of small and medium n
+wide_instruction_sequences = st.builds(
+    InstructionSequence,
+    st.lists(_signs, max_size=12).map(tuple),
+    st.lists(_signs, min_size=1, max_size=7).map(tuple),
+)
+_WIDE = InstructionSequence.parse("+--+-++-+--+(-++-+--)")
+
+
 @settings(max_examples=200)
-@given(b=instruction_sequences, interval=big_intervals())
+@given(b=wide_instruction_sequences, interval=big_intervals())
+# n's bit length below len(preperiod) = 12, equal to it, and exactly
+# len(preperiod) + j * len(period) for j = 1, 2
+@example(b=_WIDE, interval=(3, 0b101101))
+@example(b=_WIDE, interval=(0, 0b111111111111))
+@example(b=_WIDE, interval=(5, (1 << 18) | 0b1011011))
+@example(b=_WIDE, interval=(1 << 24, (1 << 26) - 1))
+@example(b=InstructionSequence.parse("-(+++++++)"), interval=(0, (1 << 15) - 1))
 def test_closed_form_matches_per_order_sums(b, interval):
     a, n = interval
     assert ones_upto(b, n) == _per_order_ones(b, 0, n)
@@ -418,33 +434,16 @@ def test_ones_upto_every_prefix_to_4096(text):
 
 
 def test_ones_upto_mask_growth_matches_fresh_cache():
+    # the mask is built per call to n's bit length, so a 10,000-bit count
+    # leaves nothing behind that changes the small counts around it
     b = InstructionSequence.parse("+-(-+-)")
     rng = random.Random(61)
     small = [rng.randint(1, 2**40) for _ in range(20)]
     big = rng.getrandbits(10_000) | 1 << 9_999
-    _instruction_masks.cache_clear()
     before = [ones_upto(b, n) for n in small]
-    grown = ones_upto(b, big)
-    after = [ones_upto(b, n) for n in small]
-    _instruction_masks.cache_clear()
-    fresh_big = ones_upto(b, big)
-    _instruction_masks.cache_clear()
-    fresh_small = [ones_upto(b, n) for n in small]
-    assert before == after == fresh_small
-    assert grown == fresh_big == _per_order_ones(b, 0, big)
-
-
-def test_additivity_combine_check_raises_on_identity_violation(monkeypatch):
-    real = antipow.calculus.delta_vector
-    calls = iter(range(3))
-
-    def skewed(b, l, d, m):
-        vec = real(b, l, d, m)
-        return vec + DeltaVector((1,) * m) if next(calls) == 2 else vec
-
-    monkeypatch.setattr(antipow.calculus, "delta_vector", skewed)
-    with pytest.raises(ArithmeticError, match="additivity identity"):
-        additivity_combine(REGULAR, 0, 2, 0, 2, 2, 4, check=True)
+    assert ones_upto(b, big) == _per_order_ones(b, 0, big)
+    assert [ones_upto(b, n) for n in small] == before
+    assert before == [_per_order_ones(b, 0, n) for n in small]
 
 
 @settings(max_examples=300)

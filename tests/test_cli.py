@@ -140,7 +140,7 @@ def test_complexity_default_prefix_doubles_within_the_budget(capsys, monkeypatch
     code, out, err = run(capsys, "complexity", "paperfolding", "(+)", "--max-n", "64")
     assert code == 2 and out == ""
     assert "exceeds the budget of 2147483647 letters" in err
-    assert lengths == [2**k for k in range(14, 31)]
+    assert lengths == [2**k for k in range(8, 31)]
 
 
 @pytest.mark.parametrize("kind", ["factor", "abelian"])

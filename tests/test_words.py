@@ -274,7 +274,7 @@ def test_rank_levels_are_exact_and_built_only_up_to_the_level_read():
     w.factor_keys(6)
     assert len(w._rank_levels) == 3
     for j in range(9):
-        level = w.rank_level(j)
+        level = w.factor_keys(1 << j)
         assert len(level) == len(w) - (1 << j) + 1
         classes = {}
         for p, rank in enumerate(level.tolist()):
@@ -284,7 +284,7 @@ def test_rank_levels_are_exact_and_built_only_up_to_the_level_read():
         assert len(set(classes.values())) == len(classes)
     assert len(w._rank_levels) == 9
     with pytest.raises(ValueError, match="out of range"):
-        w.rank_level(9)
+        w.factor_keys(1 << 9)
 
 
 def test_cached_arrays_are_read_only():
@@ -294,7 +294,7 @@ def test_cached_arrays_are_read_only():
     answers = lambda: (abelian_complexity(w, 5), factor_complexity(w, 8),
                        find_first(w, 2, "antipower"), find_first(w, 3, "abelian_power"))
     before = answers()
-    for array in (w.cum_counts, w.factor_keys(1), *(w.rank_level(j) for j in range(7))):
+    for array in (w.cum_counts, *(w.factor_keys(1 << j) for j in range(7))):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 1
     assert len(w._rank_levels) == 7
@@ -309,7 +309,7 @@ def test_rank_levels_refuse_sequences_whose_pair_keys_overflow():
             return 2**31
 
     w = LongWord(("a", "b"), b"\x00")
-    for read in (lambda: w.rank_level(0), lambda: w.factor_keys(3)):
+    for read in (lambda: w.factor_keys(1), lambda: w.factor_keys(3)):
         with pytest.raises(ValueError, match="shorter than 2\\^31"):
             read()
 
