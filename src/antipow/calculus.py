@@ -30,8 +30,10 @@ from .instructions import InstructionSequence, paperfolding_letter
 SEED_SCAN_BOUND = 1024
 
 # additivity steps construct_antipower takes on; the paper's weights need
-# 3,279 at orders 5..8 and 21,523,359 at orders 9..16, each step adding
-# 6-8 bits to the start
+# 3,279 at orders 5..8 and 21,523,359 at orders 9..16; each step adds the
+# bit length of a base geometry's span plus less than len(period), 6 to 12
+# bits for the sequences the tests pin, whose order-8 starts have 19,679 to
+# 39,359 bits
 MAX_ADDITIVITY_STEPS = 10**5
 
 
@@ -328,6 +330,45 @@ def alpha_sequence(base: list[DeltaVector]) -> list[int]:
     return alphas
 
 
+def _shift_schedule(
+    b: InstructionSequence, base_starts: list[int], width: int, cells: int, weights: list[int]
+) -> list[list[int]]:
+    """Shift exponents of the additivity steps that add weights[i] copies of
+    the geometry (base_starts[i], width, cells) to the empty geometry (0, 0),
+    base by base: entry i lists base i's shifts in step order.
+
+    Each shift is the one choose_r picks, the least r with 2^r above the span
+    start + cells*d so far and b_k = b_{k+r} at every order of
+    differing_orders on the base geometry. The first step has r = 0: it
+    places the first base with positive weight itself. The schedule runs on
+    small integers: the span before a step is below 2^r, so no carry crosses
+    bit r and the span after it has bit length r + (l_i + cells*width).bit_length().
+    """
+    pre, per = len(b.preperiod), len(b.period)
+    schedule = []
+    span_bits = 0
+    for l, weight in zip(base_starts, weights):
+        orders = differing_orders(b, l, width, cells)
+        # past the preperiod b_{k+r} depends on r mod per only, so one
+        # verdict per residue decides every shift; residue 0 always fits
+        if min(orders) < pre:
+            raise ValueError(
+                f"the geometry at {l} constrains order {min(orders)}, "
+                f"inside the preperiod of {b}"
+            )
+        fits = [all(b.at(k) == b.at(k + s) for k in orders) for s in range(per)]
+        base_bits = (l + cells * width).bit_length()
+        shifts = []
+        for _ in range(weight):
+            r = span_bits
+            while not fits[r % per]:
+                r += 1
+            shifts.append(r)
+            span_bits = r + base_bits
+        schedule.append(shifts)
+    return schedule
+
+
 @contextmanager
 def _unlimited_int_digits():
     """Lift the interpreter's int/str conversion digit limit for the duration
@@ -401,9 +442,10 @@ def construct_antipower(b: InstructionSequence, m: int) -> AntipowerCertificate:
     word with instructions b.
 
     Uses the smallest k with 2^k >= m and assembles the weighted sum of the
-    2^k pairwise distinct seed base vectors one copy at a time through the
-    additivity law; the final 2^k-cell delta vector has pairwise distinct
-    components and the certificate keeps its first m cells.
+    2^k pairwise distinct seed base vectors through the additivity law: the
+    shifts of all copies come first, from small integers, and the big
+    coordinates then follow in one pass. The final 2^k-cell delta vector has
+    pairwise distinct components and the certificate keeps its first m cells.
     """
     if m < 2:
         raise ValueError("order must be >= 2")
@@ -422,6 +464,9 @@ def construct_antipower(b: InstructionSequence, m: int) -> AntipowerCertificate:
     u = len(b.preperiod) + 1
     width = 1 << u
     lp = find_seed_block(b, u, k)
+    # lp is a multiple of 2^(u+k), so every cell boundary of the base
+    # geometries is a multiple of 2^u; their constrained orders, the Gray-code
+    # bits of XORs of two boundaries, are then all >= u - 1 = len(preperiod)
     base_starts = [lp + i * width for i in range(cells)]
     base_vectors = [delta_vector(b, s, width, cells) for s in base_starts]
     alphas = alpha_sequence(base_vectors)
@@ -432,13 +477,15 @@ def construct_antipower(b: InstructionSequence, m: int) -> AntipowerCertificate:
             f"over the budget of {MAX_ADDITIVITY_STEPS} (MAX_ADDITIVITY_STEPS)"
         )
 
-    start, d = base_starts[0], width
-    for i in range(cells):
-        copies = alphas[i] - (1 if i == 0 else 0)
-        orders = differing_orders(b, base_starts[i], width, cells)
-        for _ in range(copies):
-            r = choose_r(b, start + cells * d, orders)
-            start, d = additivity_combine(b, start, d, base_starts[i], width, cells, r)
+    # M_i = sum of 2^r over base i's shifts, from its bytes in one pass
+    multipliers = []
+    for rs in _shift_schedule(b, base_starts, width, cells, alphas):
+        buf = bytearray((rs[-1] >> 3) + 1 if rs else 0)
+        for r in rs:
+            buf[r >> 3] |= 1 << (r & 7)
+        multipliers.append(int.from_bytes(buf, "little"))
+    start = sum(l * mult for l, mult in zip(base_starts, multipliers))
+    d = width * sum(multipliers)
 
     total = tuple(
         sum(a * v.components[t] for a, v in zip(alphas, base_vectors)) for t in range(cells)

@@ -14,6 +14,7 @@ from antipow import (
     characterize_split,
     choose_r,
     classify_block,
+    construct_antipower,
     delta_interval,
     delta_vector,
     differing_orders,
@@ -27,7 +28,7 @@ from antipow import (
     paperfolding_letter,
     toeplitz_paperfolding_prefix,
 )
-from antipow.calculus import _interval_ones
+from antipow.calculus import _interval_ones, _shift_schedule
 from conftest import brute_delta, brute_delta_vector, brute_ones, materialized
 
 ALT = InstructionSequence.parse("(-+)")
@@ -471,3 +472,46 @@ def test_choose_r_matches_brute_force(b, bound, orders):
     else:
         with pytest.raises(ValueError, match="no shift exponent"):
             choose_r(b, bound, orders)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    b=st.builds(
+        InstructionSequence,
+        st.lists(_signs, max_size=3).map(tuple),
+        st.lists(_signs, min_size=1, max_size=4).map(tuple),
+    ),
+    m=st.integers(2, 5),
+)
+def test_shift_schedule_matches_the_step_by_step_additivity_path(b, m):
+    k = (m - 1).bit_length()
+    cells, u = 1 << k, len(b.preperiod) + 1
+    width = 1 << u
+    lp = find_seed_block(b, u, k)
+    base_starts = [lp + i * width for i in range(cells)]
+    alphas = alpha_sequence([delta_vector(b, s, width, cells) for s in base_starts])
+    # the schedule reads one verdict per residue of r mod len(period), which
+    # holds for every r because no base geometry constrains a preperiod order
+    assert all(
+        min(differing_orders(b, s, width, cells)) >= len(b.preperiod) for s in base_starts
+    )
+    # reference: one choose_r and one checked additivity_combine per copy
+    start, d = base_starts[0], width
+    expected = [[0]] + [[] for _ in range(cells - 1)]
+    for i, l in enumerate(base_starts):
+        orders = differing_orders(b, l, width, cells)
+        for _ in range(alphas[i] - (i == 0)):
+            r = choose_r(b, start + cells * d, orders)
+            start, d = additivity_combine(b, start, d, l, width, cells, r)
+            # no carry crosses bit r
+            assert (start + cells * d).bit_length() == r + (l + cells * width).bit_length()
+            expected[i].append(r)
+    assert _shift_schedule(b, base_starts, width, cells, alphas) == expected
+    cert = construct_antipower(b, m)
+    assert (cert.start, cert.cell_width) == (start, d)
+
+
+def test_shift_schedule_refuses_a_geometry_constraining_the_preperiod():
+    # boundaries 0, 2, 4 constrain orders 0 and 1, inside the preperiod "+-"
+    with pytest.raises(ValueError, match="inside the preperiod"):
+        _shift_schedule(InstructionSequence.parse("+-(-+)"), [0, 2], 2, 2, [1, 1])

@@ -326,7 +326,7 @@ def test_construct_refuses_order_over_step_budget(capsys, monkeypatch):
     def no_step(*args, **kwargs):
         raise AssertionError("an additivity step was taken")
 
-    monkeypatch.setattr("antipow.calculus.additivity_combine", no_step)
+    monkeypatch.setattr("antipow.calculus._shift_schedule", no_step)
     code, out, err = run(capsys, "construct", "--instructions", "(+)", "--order", "9")
     assert code == 2 and out == ""
     assert "21523359 additivity steps" in err and "MAX_ADDITIVITY_STEPS" in err

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import sys
 
 import pytest
@@ -124,3 +125,11 @@ def test_construct_succeeds_for_random_instruction_sequences():
             assert not verify_certificate(
                 b, dataclasses.replace(cert, cell_width=cert.cell_width + 2)
             )
+
+
+def test_certificates_of_seven_sequences_at_orders_2_to_8_are_pinned():
+    digest = hashlib.sha256()
+    for text in ("(+)", "(-+)", "+-(-)", "-(+--)", "(-)", "++(+-)", "-+-(+-+-)"):
+        for m in range(2, 9):
+            digest.update(construct_antipower(InstructionSequence.parse(text), m).to_json().encode())
+    assert digest.hexdigest() == "801677e7af07082f01a49dadd1e2bd7ed23999ff12138f32046cf548841a8b58"
