@@ -477,10 +477,12 @@ def construct_antipower(b: InstructionSequence, m: int) -> AntipowerCertificate:
             f"over the budget of {MAX_ADDITIVITY_STEPS} (MAX_ADDITIVITY_STEPS)"
         )
 
-    # M_i = sum of 2^r over base i's shifts, from its bytes in one pass
+    # M_i = sum of 2^r over base i's shifts (every weight is >= 1), set bit
+    # by bit in a byte buffer: linear in its bits, where summing the powers
+    # copies the growing sum at every shift
     multipliers = []
     for rs in _shift_schedule(b, base_starts, width, cells, alphas):
-        buf = bytearray((rs[-1] >> 3) + 1 if rs else 0)
+        buf = bytearray(rs[-1] // 8 + 1)
         for r in rs:
             buf[r >> 3] |= 1 << (r & 7)
         multipliers.append(int.from_bytes(buf, "little"))
