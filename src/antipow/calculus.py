@@ -7,8 +7,11 @@ with i = 2^k(2j+1); the ones of order k sit in a single residue class mod
 2^{k+2} selected by the instruction bit b_k, so one-counts over any interval
 reduce to closed-form residue counting: an interval of length L contains
 floor(L / 2^{k+2}) of them plus an excess of 0 or 1. Summing excesses over
-orders gives the delta of an interval; the sum over all orders collapses to
-two popcounts of masked bit patterns (`ones_upto`), and the per-order
+orders gives the delta of an interval. The sum over all orders collapses to
+two popcounts of masked bit patterns, and `_cell_ones` counts the m
+consecutive cells (l + t*d, l + (t+1)*d) from their m + 1 boundaries under
+one instruction mask: every one-count, delta and delta vector, the seed
+block's base vectors and certificate verification read it. The per-order
 functions stay as the independent cross-check. The vector of deltas over m
 consecutive cells characterizes abelian powers (all components equal) and
 abelian antipowers (components pairwise distinct). The additivity law
@@ -92,49 +95,53 @@ def epsilon(b: InstructionSequence, k: int, bit: int, a: int, n: int) -> int:
     return excess
 
 
-def _plus_mask(b: InstructionSequence, size: int) -> int:
-    """Bitmask P_b over at least orders 0..size-1: bit k is set when b_k = +1.
-    The periodic tail is the period's bits times a repunit of period-wide
-    digits, shifted past the preperiod."""
-    pre, per = len(b.preperiod), len(b.period)
-    bits = lambda vs: sum(1 << k for k, v in enumerate(vs) if v == 1)
-    copies = max(size - pre, 0) // per + 1
-    repunit = ((1 << per * copies) - 1) // ((1 << per) - 1)
-    return bits(b.preperiod) | (bits(b.period) * repunit) << pre
-
-
 def _baseline(length: int) -> int:
     """Sum over orders k of floor(length / 2^{k+2})."""
     return length - length.bit_count() - (length >> 1)
 
 
-def ones_upto(b: InstructionSequence, n: int) -> int:
-    """Exact count of ones among positions 1..n.
+def _cell_ones(b: InstructionSequence, l: int, d: int, m: int) -> list[int]:
+    """Exact one-counts of the m cells (l + t*d, l + (t+1)*d), t = 0..m-1,
+    as differences of the one-counts up to the m + 1 cell boundaries.
 
     The order-k ones up to n number floor((n + (2 - b_k) 2^k) / 2^{k+2}):
     the baseline floor(n / 2^{k+2}) plus one exactly when bits k and k+1 of
     n are both set (b_k = +1) or either is set (b_k = -1). Summed over all
     orders this is the baseline plus two masked popcounts, over P_b and its
-    complement ~P_b (n | n >> 1 has no bits past n's bit length, so the
-    infinite two's-complement ones of ~P_b beyond P_b never count).
+    complement ~P_b, where bit k of P_b is set when b_k = +1. One P_b, as
+    wide as the last boundary, serves every boundary: n | n >> 1 has no bits
+    past n's bit length, so neither the higher bits of P_b nor the infinite
+    two's-complement ones of ~P_b ever count. The periodic part of P_b is the
+    period's bits times a repunit of period-wide digits, shifted past the
+    preperiod. The geometry is the caller's to check.
     """
+    pre, per = len(b.preperiod), len(b.period)
+    bits = lambda vs: sum(1 << k for k, v in enumerate(vs) if v == 1)
+    copies = max((l + m * d).bit_length() - pre, 0) // per + 1
+    repunit = ((1 << per * copies) - 1) // ((1 << per) - 1)
+    plus = bits(b.preperiod) | (bits(b.period) * repunit) << pre
+    minus = ~plus
+
+    def upto(n: int) -> int:
+        half = n >> 1
+        return _baseline(n) + (n & half & plus).bit_count() + ((n | half) & minus).bit_count()
+
+    counts = [upto(l + t * d) for t in range(m + 1)]
+    return [hi - lo for lo, hi in zip(counts, counts[1:])]
+
+
+def ones_upto(b: InstructionSequence, n: int) -> int:
+    """Exact count of ones among positions 1..n, the one cell (0, n)."""
     if n < 0:
         raise ValueError("position must be >= 0")
-    plus = _plus_mask(b, n.bit_length())
-    half = n >> 1
-    return _baseline(n) + (n & half & plus).bit_count() + ((n | half) & ~plus).bit_count()
-
-
-def _interval_ones(b: InstructionSequence, a: int, n: int) -> int:
-    """Exact one-count of (a, n)."""
-    _check_interval(a, n)
-    return ones_upto(b, n) - ones_upto(b, a)
+    return _cell_ones(b, 0, n, 1)[0]
 
 
 def delta_interval(b: InstructionSequence, a: int, n: int) -> int:
     """Total excess of ones in (a, n) over the per-order baselines
     floor((n-a) / 2^{k+2}); equals the sum of epsilon over all orders."""
-    return _interval_ones(b, a, n) - _baseline(n - a)
+    _check_interval(a, n)
+    return _cell_ones(b, a, n - a, 1)[0] - _baseline(n - a)
 
 
 @dataclass(frozen=True)
@@ -187,9 +194,8 @@ def e_vector(b: InstructionSequence, k: int, bit: int, l: int, d: int, m: int) -
 def delta_vector(b: InstructionSequence, l: int, d: int, m: int) -> DeltaVector:
     """Delta of each of the m consecutive cells of width d starting after l."""
     _check_geometry(l, d, m)
-    return DeltaVector(
-        tuple(delta_interval(b, l + t * d, l + (t + 1) * d) for t in range(m))
-    )
+    baseline = _baseline(d)
+    return DeltaVector(tuple(c - baseline for c in _cell_ones(b, l, d, m)))
 
 
 def characterize_split(b: InstructionSequence, l: int, d: int, m: int) -> str:
@@ -243,7 +249,8 @@ def additivity_precheck(
     violations = []
     if lp % 2 or dp % 2:
         violations.append(f"(i) second geometry must be even: start={lp}, width={dp}")
-    if (1 << r) <= l + m * d:
+    # 2^r > span exactly when r reaches the span's bit length; no 2^r is built
+    if r < (l + m * d).bit_length():
         violations.append(f"(ii) 2^{r} does not exceed {l + m * d}")
     for k in sorted(differing_orders(b, lp, dp, m)):
         if b.at(k) != b.at(k + r):
@@ -288,7 +295,8 @@ def find_seed_block(b: InstructionSequence, u: int, k: int) -> int:
     (l, l + 2^{u+k+2}) with l = c - 2^{u+k+1} a multiple of 2^{u+k}, and must
     satisfy: the block of length 2^{u+k+2}-1 around c has equal halves, no
     letter of order above u+k+4, and the 2^k base vectors
-    Delta(l + 2^u i, 2^u, 2^k) are pairwise distinct.
+    Delta(l + 2^u i, 2^u, 2^k), the length-2^k windows of the 2^{k+1} - 1
+    cell deltas after l, are pairwise distinct.
     """
     if k < 1:
         raise ValueError("power exponent must be >= 1")
@@ -311,8 +319,8 @@ def find_seed_block(b: InstructionSequence, u: int, k: int) -> int:
         # a letter of order > u+k+4 is a multiple of 2^{u+k+5}
         if ((l + 2 * half - 1) >> (center_order + 5)) > (l >> (center_order + 5)):
             continue
-        bases = [delta_vector(b, l + i * width, width, cells) for i in range(cells)]
-        if len({v.components for v in bases}) != cells:
+        run = delta_vector(b, l, width, 2 * cells - 1).components
+        if len({run[i : i + cells] for i in range(cells)}) != cells:
             continue
         return l
     raise ValueError(f"no seed block found among the first {SEED_SCAN_BOUND + 1} candidate centers")
@@ -468,7 +476,9 @@ def construct_antipower(b: InstructionSequence, m: int) -> AntipowerCertificate:
     # geometries is a multiple of 2^u; their constrained orders, the Gray-code
     # bits of XORs of two boundaries, are then all >= u - 1 = len(preperiod)
     base_starts = [lp + i * width for i in range(cells)]
-    base_vectors = [delta_vector(b, s, width, cells) for s in base_starts]
+    # base vector i is window i of the 2*cells - 1 cells after lp
+    run = delta_vector(b, lp, width, 2 * cells - 1).components
+    base_vectors = [DeltaVector(run[i : i + cells]) for i in range(cells)]
     alphas = alpha_sequence(base_vectors)
     steps = sum(alphas) - 1
     if steps > MAX_ADDITIVITY_STEPS:
@@ -518,7 +528,8 @@ def verify_certificate(b: InstructionSequence, cert: AntipowerCertificate) -> bo
     """Recompute every cell one-count by popcount counting and require the
     stored counts to match and be pairwise distinct."""
     start, d, m = cert.start, cert.cell_width, cert.m
-    counts = [_interval_ones(b, start + t * d, start + (t + 1) * d) for t in range(m)]
+    _check_geometry(start, d, m)
+    counts = _cell_ones(b, start, d, m)
     return tuple(counts) == cert.cell_one_counts and len(set(counts)) == m
 
 

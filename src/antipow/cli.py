@@ -1,8 +1,9 @@
 """Command-line front end: word generation, complexity tables, power and
 antipower scanning, delta-vector queries and certificate synthesis.
 
-Exit codes: 0 success, 1 domain violation (failed precheck), 2 usage or
-parse error, 3 internal verification failure.
+Exit codes: 0 success, 1 domain violation (failed precheck), 2 usage,
+parse or output-file error, or an input over a budget, 3 internal
+verification failure.
 """
 
 from __future__ import annotations
@@ -182,6 +183,11 @@ def cmd_construct(args) -> int:
 
 DELTA_FLAGS = ("d", "m", "n", "l2", "d2", "r")
 
+# bits of the combined geometry's coordinates that the precheck query
+# accepts; the order-8 certificates of the pinned sequences have at most
+# 39,359 bits
+MAX_COMBINED_BITS = 2**20
+
 
 def _delta_mode(args) -> str:
     """The query the given flags select: --l2 --d2 --r the additivity
@@ -206,6 +212,14 @@ def cmd_delta(args) -> int:
     mode = _delta_mode(args)
     b, l, code = args.instructions, args.l, 0
     if mode == "precheck":
+        # the combined geometry (l + 2^r l2, d + 2^r d2) has at least this
+        # many bits; refuse before the precheck or the combination shifts
+        bits = max(l.bit_length(), args.d.bit_length(), args.r + max(args.l2, args.d2).bit_length())
+        if bits > MAX_COMBINED_BITS:
+            raise ValueError(
+                f"the combined geometry would have at least {bits} bits, over the budget "
+                f"of {MAX_COMBINED_BITS} bits (2^20, MAX_COMBINED_BITS)"
+            )
         report = _cli.additivity_precheck(b, l, args.d, args.l2, args.d2, args.m, args.r)
         if report.ok:
             cl, cd = _cli.additivity_combine(b, l, args.d, args.l2, args.d2, args.m, args.r)
@@ -296,7 +310,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args.instructions = _resolve_instructions(args)
         return args.handler(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         return _fail(str(exc), 2)
     except ArithmeticError as exc:
         return _fail(str(exc), 3)

@@ -28,7 +28,7 @@ from antipow import (
     paperfolding_letter,
     toeplitz_paperfolding_prefix,
 )
-from antipow.calculus import _interval_ones, _shift_schedule
+from antipow.calculus import _cell_ones, _shift_schedule
 from conftest import brute_delta, brute_delta_vector, brute_ones, materialized
 
 ALT = InstructionSequence.parse("(-+)")
@@ -164,6 +164,16 @@ def test_additivity_precheck_ok_and_violations():
     assert not odd.ok and any("(i)" in v for v in odd.violations)
     small = additivity_precheck(REGULAR, 0, 2, 0, 2, 2, 2)
     assert not small.ok and any("(ii)" in v for v in small.violations)
+
+
+def test_additivity_precheck_decides_the_span_bound_without_a_power():
+    # (ii) is 2^r > l + m*d; a 10^12-bit power would not fit in memory
+    assert additivity_precheck(REGULAR, 0, 2, 0, 2, 2, 10**12).ok
+    for l, d, m in [(0, 2, 2), (2, 3, 2), (1, 1, 1), (5, 7, 3), (2**40 - 4, 2, 2)]:
+        for r in range(50):
+            report = additivity_precheck(REGULAR, l, d, 0, 2, m, r)
+            span_violated = any(v.startswith("(ii)") for v in report.violations)
+            assert span_violated == ((1 << r) <= l + m * d)
 
 
 def test_additivity_precheck_instruction_mismatch():
@@ -369,7 +379,7 @@ def test_ones_upto_examples_and_validation():
     with pytest.raises(ValueError):
         ones_upto(REGULAR, -1)
     with pytest.raises(ValueError):
-        _interval_ones(REGULAR, 5, 5)
+        delta_interval(REGULAR, 5, 5)
 
 
 # long preperiods and periods, so the mask's preperiod part and the last
@@ -394,8 +404,31 @@ _WIDE = InstructionSequence.parse("+--+-++-+--+(-++-+--)")
 def test_closed_form_matches_per_order_sums(b, interval):
     a, n = interval
     assert ones_upto(b, n) == _per_order_ones(b, 0, n)
-    assert _interval_ones(b, a, n) == _per_order_ones(b, a, n)
+    assert _cell_ones(b, a, n - a, 1) == [_per_order_ones(b, a, n)]
     assert delta_interval(b, a, n) == _per_order_delta(b, a, n)
+
+
+@st.composite
+def wide_geometries(draw, max_bits=4000):
+    """(l, d, m) with a small start and a width of up to max_bits bits, so
+    the first and last cell boundaries differ by thousands of bits."""
+    l = draw(st.integers(0, 2**12) | st.integers(0, 2**64))
+    bits = draw(st.integers(1, max_bits))
+    d = draw(st.integers(1 << (bits - 1), (1 << bits) - 1))
+    return l, d, draw(st.integers(1, 5))
+
+
+@settings(max_examples=60)
+@given(b=wide_instruction_sequences, geometry=wide_geometries())
+# the mask is built for the last boundary: a 4000-bit one over a 2-bit start,
+# the smallest cell, and a start inside the 12-bit preperiod with ends past it
+@example(b=_WIDE, geometry=(3, (1 << 4000) - 1, 5))
+@example(b=_WIDE, geometry=(0, 1, 1))
+@example(b=_WIDE, geometry=(5, 1 << 18, 3))
+def test_cell_ones_share_one_mask_across_boundaries(b, geometry):
+    l, d, m = geometry
+    expected = [_per_order_ones(b, l + t * d, l + (t + 1) * d) for t in range(m)]
+    assert _cell_ones(b, l, d, m) == expected
 
 
 @given(b=instruction_sequences, data=st.data())
@@ -404,7 +437,7 @@ def test_closed_form_matches_materialized_prefix(b, data):
     n = data.draw(st.integers(1, 2**12))
     a = data.draw(st.integers(0, n - 1))
     assert ones_upto(b, n) == brute_ones(w, 0, n)
-    assert _interval_ones(b, a, n) == brute_ones(w, a, n)
+    assert _cell_ones(b, a, n - a, 1) == [brute_ones(w, a, n)]
     assert delta_interval(b, a, n) == brute_delta(w, a, n)
 
 

@@ -410,6 +410,15 @@ def test_delta_combine_ok(capsys):
     assert out == "precheck: ok\ncombined: l=0 d=34\n"
 
 
+def test_delta_refuses_a_combined_geometry_over_the_bit_budget(capsys):
+    code, out, err = run(
+        capsys, "delta", "--instructions", "(+)", "--l", "0", "--d", "2",
+        "--m", "2", "--l2", "0", "--d2", "2", "--r", "100000000000",
+    )
+    assert code == 2 and out == ""
+    assert "MAX_COMBINED_BITS" in err and str(2**20) in err
+
+
 def test_delta_missing_geometry_exits_2(capsys):
     code, _, _ = run(capsys, "delta", "--instructions", "(+)", "--l", "0")
     assert code == 2
@@ -429,6 +438,14 @@ def test_output_flag_writes_file(tmp_path, capsys):
     code, out, _ = run(capsys, "generate", "sierpinski", "--length", "10", "--output", str(path))
     assert code == 0 and out == ""
     assert path.read_text() == "ababbbabab\n"
+
+
+def test_unwritable_output_exits_2(tmp_path, capsys):
+    path = tmp_path / "no-such-directory" / "word.txt"
+    code, out, err = run(capsys, "generate", "sierpinski", "--length", "5", "--output", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and str(path) in err
+    assert not path.exists()
 
 
 def test_byte_identical_reruns(capsys):

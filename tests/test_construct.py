@@ -82,6 +82,13 @@ def test_verify_rejects_mutated_counts():
     assert not verify_certificate(ALT, dataclasses.replace(cert, cell_one_counts=counts))
 
 
+@pytest.mark.parametrize("field, value", [("start", -1), ("cell_width", 0)])
+def test_verify_rejects_impossible_geometry(field, value):
+    cert = construct_antipower(REGULAR, 2)
+    with pytest.raises(ValueError):
+        verify_certificate(REGULAR, dataclasses.replace(cert, **{field: value}))
+
+
 def test_verify_single_cell_certificate_is_vacuous():
     cert = construct_antipower(REGULAR, 2)
     single = dataclasses.replace(cert, m=1, cell_one_counts=cert.cell_one_counts[:1])
