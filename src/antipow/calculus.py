@@ -22,12 +22,10 @@ lets arbitrarily spread vectors be assembled from a small seed block.
 from __future__ import annotations
 
 import json
-import sys
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import Iterable
 
-from .instructions import InstructionSequence, paperfolding_letter
+from .instructions import InstructionSequence, _unlimited_int_digits, paperfolding_letter
 
 # candidate block centers find_seed_block tries before giving up
 SEED_SCAN_BOUND = 1024
@@ -375,22 +373,6 @@ def _shift_schedule(
             span_bits = r + base_bits
         schedule.append(shifts)
     return schedule
-
-
-@contextmanager
-def _unlimited_int_digits():
-    """Lift the interpreter's int/str conversion digit limit for the duration
-    of the block, then restore the previous value. Interpreters without the
-    limit have nothing to lift."""
-    if not hasattr(sys, "set_int_max_str_digits"):
-        yield
-        return
-    previous = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(previous)
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,8 @@ import sys
 from importlib import import_module
 from typing import TYPE_CHECKING
 
+from .instructions import _unlimited_int_digits
+
 if TYPE_CHECKING:
     from .instructions import InstructionSequence
     from .words import FiniteWord
@@ -59,10 +61,6 @@ def _ceil_log3(n: int) -> int:
     return e
 
 
-def _next_pow2(n: int) -> int:
-    return 1 << max(n - 1, 0).bit_length()
-
-
 # the array layers index positions with int32, so every word command refuses
 # longer prefixes before generating one
 MAX_ARRAY_LENGTH = 2**31 - 1
@@ -104,52 +102,42 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _thue_morse_factor_complexity(n: int) -> int:
-    """Number of length-n factors of the Thue–Morse word, n >= 1, by Brlek's
-    closed form (Discrete Appl. Math. 24, 1989)."""
-    if n <= 2:
-        return 2 * n
-    r = (n - 1).bit_length() - 1
-    q = n - 1 - (1 << r)
-    return 3 * (1 << r) + 4 * q if 2 * q <= 1 << r else 4 * (1 << r) + 2 * q
-
-
-def _complexity_word_length(args) -> int:
-    if args.length is not None:
-        return args.length
-    if args.word == "sierpinski":
-        # every factor of length n <= 3^k of the infinite word occurs in its
-        # prefix of length 3^(k+1), so this one prefix gives exact values
-        return 3 ** (_ceil_log3(args.max_n) + 1)
-    # cmd_complexity doubles this prefix until it holds every factor
-    return _next_pow2(4 * max(args.max_n, 7))
+def _complexity_word_length(word: str, max_n: int) -> int:
+    """The default prefix length of `complexity`: a closed form per word for
+    a prefix that holds every factor of length <= max_n of the infinite
+    word, so every value of the table is exact for the infinite word."""
+    if word == "sierpinski":
+        # copies of the 3^k-letter prefix s_k are separated by runs of b of
+        # length at least 3^k, so every factor of length n <= 3^k occurs in
+        # s_(k+1) = s_k b^(3^k) s_k, the prefix of length 3^(k+1)
+        return 3 ** (_ceil_log3(max_n) + 1)
+    # every factor has at most 2^k letters
+    k = (max_n - 1).bit_length()
+    if word == "thue-morse":
+        # t = mu^(k-1)(t) is a run of blocks mu^(k-1)(t_i) of 2^(k-1) letters,
+        # so a factor of at most 2^k letters lies in three consecutive blocks
+        # and is fixed by t_i t_(i+1) t_(i+2) and its offset. All six length-3
+        # factors of t start at i <= 5, so the first 8 blocks, 4·2^k letters,
+        # hold them all; for k = 0, "0110" holds both letters
+        return 4 << k
+    # Paperfolding, for every instruction sequence: a window of n <= 2^k
+    # letters holds at most one multiple q·2^k. Its start mod 2^(k+1) fixes
+    # every letter of order < k and the parity of q, and the letter at q·2^k
+    # takes both values for q in {1, 3} (order k) and for q in {2, 6}
+    # (order k+1). So every factor occurs ending by position 6·2^k + n - 1
+    return 7 << k
 
 
 def cmd_complexity(args) -> int:
     if args.max_n < 1:
         raise ValueError("--max-n must be >= 1")
-    length = _complexity_word_length(args)
+    length = args.length
+    if length is None:
+        length = _complexity_word_length(args.word, args.max_n)
     if args.max_n > length:
         raise ValueError("--max-n exceeds the generated prefix length")
     w = _build_word(args.word, args.instructions, length)
-    table = None
-    if args.length is None and args.word != "sierpinski":
-        # A prefix that holds every factor of length n holds every shorter
-        # one, a prefix of some length-n factor. It does so exactly when it
-        # has as many length-n factors as the infinite word: 4n for every
-        # paperfolding word from n = 7 on (Allouche, Bull. Austral. Math.
-        # Soc. 1992), Brlek's count for Thue–Morse. Double the prefix until
-        # that count holds at n = max(max_n, 7).
-        n = max(args.max_n, 7)
-        known = 4 * n if args.word == "paperfolding" else _thue_morse_factor_complexity(n)
-        while (certificate := _cli.complexity_table(w, "factor", n)).rows[-1][1] != known:
-            length *= 2
-            w = _build_word(args.word, args.instructions, length)
-        if args.kind == "factor":
-            # rows up to max_n do not depend on how far the table goes
-            table = _cli.ComplexityTable("factor", certificate.rows[: args.max_n])
-    if table is None:
-        table = _cli.complexity_table(w, args.kind, args.max_n)
+    table = _cli.complexity_table(w, args.kind, args.max_n)
     if args.fmt == "json":
         _emit("\n".join(json.dumps({"n": n, "value": v}) for n, v in table.rows), args.output)
     else:
@@ -301,19 +289,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else int(exc.code)
+    # big-integer flags and results (delta coordinates up to
+    # MAX_COMBINED_BITS) pass through decimal text both ways
+    with _unlimited_int_digits():
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return 0 if exc.code in (0, None) else int(exc.code)
 
-    try:
-        args.instructions = _resolve_instructions(args)
-        return args.handler(args)
-    except (ValueError, OSError) as exc:
-        return _fail(str(exc), 2)
-    except ArithmeticError as exc:
-        return _fail(str(exc), 3)
+        try:
+            args.instructions = _resolve_instructions(args)
+            return args.handler(args)
+        except (ValueError, OSError) as exc:
+            return _fail(str(exc), 2)
+        except ArithmeticError as exc:
+            return _fail(str(exc), 3)
 
 
 if __name__ == "__main__":

@@ -1,12 +1,16 @@
 """Paperfolding instruction sequences and the closed-form letter oracle.
 
 This module needs no numpy, so the big-integer layer (`calculus`) and the
-commands built on it start without importing it.
+commands built on it start without importing it. Every command loads it,
+so it also holds the guard that lifts the interpreter's int/str digit limit
+for big-integer text.
 """
 
 from __future__ import annotations
 
 import re
+import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 _INSTRUCTION_RE = re.compile(r"^([+-]*)\(([+-]+)\)$")
@@ -68,3 +72,19 @@ def paperfolding_letter(b: InstructionSequence, i: int) -> int:
     j = ((i >> k) - 1) >> 1
     bk = b.at(k)
     return 1 if (bk if j % 2 == 0 else -bk) == -1 else 0
+
+
+@contextmanager
+def _unlimited_int_digits():
+    """Lift the interpreter's int/str conversion digit limit for the duration
+    of the block, then restore the previous value. Interpreters without the
+    limit have nothing to lift."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(previous)

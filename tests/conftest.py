@@ -1,7 +1,8 @@
-"""Shared brute-force oracles for cross-validating the closed-form code paths.
+"""Shared oracles for cross-validating the closed-form code paths.
 
-Everything here works on materialized letters only, with no residue
-arithmetic, so the two routes stay independent.
+The brute-force ones work on materialized letters only, with no residue
+arithmetic, so the two routes stay independent. The published counts are
+independent of the code by construction.
 """
 
 from __future__ import annotations
@@ -42,6 +43,16 @@ def brute_delta(w: FiniteWord, a: int, n: int) -> int:
 
 def brute_delta_vector(w: FiniteWord, l: int, d: int, m: int) -> tuple[int, ...]:
     return tuple(brute_delta(w, l + t * d, l + (t + 1) * d) for t in range(m))
+
+
+def thue_morse_factor_complexity(n: int) -> int:
+    """Number of length-n factors of the Thue–Morse word, n >= 1, by Brlek's
+    closed form (Discrete Appl. Math. 24, 1989)."""
+    if n <= 2:
+        return 2 * n
+    r = (n - 1).bit_length() - 1
+    q = n - 1 - (1 << r)
+    return 3 * (1 << r) + 4 * q if 2 * q <= 1 << r else 4 * (1 << r) + 2 * q
 
 
 def brute_find_first(w: FiniteWord, m: int, kind: str, d_max: int | None = None):

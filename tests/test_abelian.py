@@ -22,7 +22,7 @@ from antipow import (
     sierpinski_prefix,
     toeplitz_paperfolding_prefix,
 )
-from antipow.cli import _thue_morse_factor_complexity
+from conftest import thue_morse_factor_complexity
 
 ABC = ("a", "b", "c")
 
@@ -202,7 +202,7 @@ def test_thue_morse_factor_table_matches_closed_form():
     # every Thue–Morse factor of length n <= 256 occurs in the 2^16 prefix
     w = morphism_prefix(THUE_MORSE_MORPHISM, "0", 2**16)
     table = complexity_table(w, "factor", 256)
-    assert table.rows == tuple((n, _thue_morse_factor_complexity(n)) for n in range(1, 257))
+    assert table.rows == tuple((n, thue_morse_factor_complexity(n)) for n in range(1, 257))
 
 
 def test_complexity_table_validation():

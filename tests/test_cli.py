@@ -5,22 +5,27 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import antipow.calculus
 from antipow import (
     REGULAR,
+    THUE_MORSE_MORPHISM,
     AntipowerCertificate,
-    ComplexityTable,
     DeltaVector,
     FiniteWord,
+    InstructionSequence,
     abelian_complexity,
     construct_antipower,
     factor_complexity,
+    morphism_prefix,
     sierpinski_prefix,
     toeplitz_paperfolding_prefix,
     verify_certificate,
 )
-from antipow.cli import _ceil_log3, _thue_morse_factor_complexity, main
+from antipow.cli import _ceil_log3, _complexity_word_length, main
+from antipow.instructions import _unlimited_int_digits
+from conftest import thue_morse_factor_complexity
 
 REGULAR_32 = "00100110001101100010011100110110"
 
@@ -103,8 +108,9 @@ def _rows(out: str) -> dict[int, int]:
 
 
 def test_complexity_default_paperfolding_prefix_holds_every_factor(capsys):
-    # the 16,384 letters of the first default prefix miss factors from
-    # n = 2,143 on: at n = 2,434 it gave 8,964 factors and 8 abelian classes
+    # the default prefix has 7·2^12 = 28,672 letters; 16,384 letters miss
+    # factors from n = 2,143 on: at n = 2,434 they gave 8,964 factors and 8
+    # abelian classes
     max_n = 2434
     big = toeplitz_paperfolding_prefix(REGULAR, 2**20)
     code, out, _ = run(capsys, "complexity", "paperfolding", "(+)", "--kind", "factor",
@@ -122,31 +128,72 @@ def test_complexity_default_paperfolding_prefix_holds_every_factor(capsys):
 def test_complexity_default_thue_morse_prefix_holds_every_factor(capsys):
     code, out, _ = run(capsys, "complexity", "thue-morse", "--kind", "factor", "--max-n", "600")
     assert code == 0
-    assert _rows(out) == {n: _thue_morse_factor_complexity(n) for n in range(1, 601)}
+    assert _rows(out) == {n: thue_morse_factor_complexity(n) for n in range(1, 601)}
 
 
-def test_complexity_default_prefix_doubles_within_the_budget(capsys, monkeypatch):
-    lengths = []
+PINNED_SEQUENCES = ("(+)", "(-+)", "+-(-)", "-(+--)", "(-)", "++(+-)", "-+-(+-+-)")
 
-    def short_word(b, length):
-        lengths.append(length)
-        return toeplitz_paperfolding_prefix(b, 64)
 
-    # a count that never certifies the prefix doubles it up to the budget
-    monkeypatch.setattr("antipow.cli.toeplitz_paperfolding_prefix", short_word)
-    monkeypatch.setattr(
-        "antipow.cli.complexity_table", lambda w, kind, max_n: ComplexityTable(kind, ((max_n, 1),))
-    )
-    code, out, err = run(capsys, "complexity", "paperfolding", "(+)", "--max-n", "64")
-    assert code == 2 and out == ""
-    assert "exceeds the budget of 2147483647 letters" in err
-    assert lengths == [2**k for k in range(8, 31)]
+def _assert_default_prefixes_cover(word, generate, top):
+    """For k = 0..top, the default prefix for max_n = 2^k has the factor
+    table, up to n = 2^k, of a prefix 16 times longer than the longest one;
+    returns that reference table, which the callers hold to the published
+    count, so it holds every factor of length <= 2^top."""
+    # rows up to n do not depend on how far the table goes
+    reference = generate(16 << top)._factor_counts(2**top).tolist()
+    for k in range(top + 1):
+        prefix = generate(_complexity_word_length(word, 2**k))
+        assert prefix._factor_counts(2**k).tolist() == reference[: 2**k], k
+    return reference
+
+
+def test_default_thue_morse_prefixes_hold_every_factor():
+    generate = lambda length: morphism_prefix(THUE_MORSE_MORPHISM, "0", length)
+    reference = _assert_default_prefixes_cover("thue-morse", generate, 14)
+    assert reference == [thue_morse_factor_complexity(n) for n in range(1, 2**14 + 1)]
+
+
+def _assert_default_paperfolding_prefixes_cover(b):
+    generate = lambda length: toeplitz_paperfolding_prefix(b, length)
+    reference = _assert_default_prefixes_cover("paperfolding", generate, 12)
+    # 4n factors of each length n >= 7 (Allouche, Bull. Austral. Math. Soc. 1992)
+    assert reference[6:] == [4 * n for n in range(7, 2**12 + 1)]
+
+
+@pytest.mark.parametrize("text", PINNED_SEQUENCES)
+def test_default_paperfolding_prefixes_hold_every_factor(text):
+    _assert_default_paperfolding_prefixes_cover(InstructionSequence.parse(text))
+
+
+_signs = st.sampled_from((1, -1))
+
+
+@settings(max_examples=30)
+@given(st.builds(
+    InstructionSequence,
+    st.lists(_signs, max_size=3).map(tuple),
+    st.lists(_signs, min_size=1, max_size=4).map(tuple),
+))
+def test_default_paperfolding_prefixes_hold_every_factor_for_drawn_sequences(b):
+    _assert_default_paperfolding_prefixes_cover(b)
+
+
+def test_complexity_default_prefix_over_the_budget_is_refused(capsys, no_generation):
+    # k = ceil(log2 max_n) = 29 gives 4·2^29 and 7·2^29 letters, over 2^31 - 1;
+    # at k = 28 both closed forms fit and reach the generator
+    for argv, fits in ((("thue-morse",), 4 << 28), (("paperfolding", "(+)"), 7 << 28)):
+        code, out, err = run(capsys, "complexity", *argv, "--max-n", str(2**28 + 1))
+        assert code == 2 and out == ""
+        assert "exceeds the budget of 2147483647 letters" in err
+        with pytest.raises(_Generated) as exc:
+            run(capsys, "complexity", *argv, "--max-n", str(2**28))
+        assert exc.value.args == (fits,)
 
 
 @pytest.mark.parametrize("kind", ["factor", "abelian"])
 def test_complexity_default_prefix_gets_one_factor_pass_each(capsys, monkeypatch, kind):
-    # the certificate's factor table also gives the rows of a factor query,
-    # so the final prefix is not sorted a second time
+    # a factor query sorts its one closed-form prefix once; an abelian query
+    # builds no factor table
     lengths = []
     factor_counts = FiniteWord._factor_counts
 
@@ -158,7 +205,7 @@ def test_complexity_default_prefix_gets_one_factor_pass_each(capsys, monkeypatch
     code, out, _ = run(capsys, "complexity", "paperfolding", "(+)", "--kind", kind,
                        "--max-n", "2434")
     assert code == 0 and len(_rows(out)) == 2434
-    assert lengths == [2**14, 2**15]
+    assert lengths == ([7 << 12] if kind == "factor" else [])
 
 
 def test_complexity_json_format(capsys):
@@ -380,6 +427,28 @@ def test_delta_vector_output(capsys):
 def test_delta_scalar_output(capsys):
     code, out, _ = run(capsys, "delta", "--instructions", "(+)", "--l", "0", "--n", "14")
     assert code == 0 and out == "2\n"
+    # the interval is (l, n), not (l, l + n)
+    code, out, _ = run(capsys, "delta", "--instructions", "(+)", "--l", "4", "--n", "14",
+                       "--format", "json")
+    assert code == 0 and json.loads(out) == {"l": "4", "n": "14", "delta": 2}
+
+
+@pytest.mark.parametrize("l, d, l2, d2", [(0, 2, 0, 2), (10**4400, 2, 6, 2)],
+                         ids=["zero l", "l of 4401 digits"])
+def test_delta_precheck_passes_big_integers_past_the_digit_limit(capsys, l, d, l2, d2):
+    # the combined coordinates have about 20,000 bits, over 6,000 digits;
+    # the second l alone has 4,401 digits
+    limit = sys.get_int_max_str_digits()
+    with _unlimited_int_digits():
+        argv = [str(v) for v in (l, d, l2, d2)]
+    code, out, _ = run(capsys, "delta", "--instructions", "(+)", "--l", argv[0], "--d", argv[1],
+                       "--m", "2", "--l2", argv[2], "--d2", argv[3], "--r", "20000",
+                       "--format", "json")
+    assert code == 0 and sys.get_int_max_str_digits() == limit
+    with _unlimited_int_digits():
+        record = json.loads(out)
+        combined = int(record["l"]), int(record["d"])
+    assert record["ok"] is True and combined == (l + (l2 << 20000), d + (d2 << 20000))
 
 
 def test_delta_combine_violation_exits_1(capsys):
@@ -504,6 +573,7 @@ OUT_OF_RANGE = [
     (("complexity", "thue-morse", "--max-n", "0"), "--max-n must be >= 1"),
     (("complexity", "paperfolding", "(+)", "--max-n", "5", "--length", "3"),
      "--max-n exceeds the generated prefix length"),
+    (("delta", "--instructions", "(+)", "--l", "20", "--n", "14"), "empty interval (20, 14)"),
     (("scan", "sierpinski", "--length", "100", "--order", "3", "--kind", "antipower",
       "--d-max", "0"), "d_max must be >= 1"),
 ]
