@@ -25,7 +25,12 @@ import json
 from dataclasses import dataclass, replace
 from typing import Iterable
 
-from .instructions import InstructionSequence, _unlimited_int_digits, paperfolding_letter
+from .instructions import (
+    MAX_COMBINED_BITS,
+    InstructionSequence,
+    _unlimited_int_digits,
+    paperfolding_letter,
+)
 
 # candidate block centers find_seed_block tries before giving up
 SEED_SCAN_BOUND = 1024
@@ -295,13 +300,21 @@ def find_seed_block(b: InstructionSequence, u: int, k: int) -> int:
     letter of order above u+k+4, and the 2^k base vectors
     Delta(l + 2^u i, 2^u, 2^k), the length-2^k windows of the 2^{k+1} - 1
     cell deltas after l, are pairwise distinct.
+
+    With K = u+k, the halves are equal exactly when the letters at c - 2^K
+    and c + 2^K are. The halves are l+i and c+i = l+i + 2^{K+1} for
+    1 <= i < 2^{K+1}. When v = nu_2(i) < K, both positions have order v,
+    since l is a multiple of 2^K; a letter of order v depends only on its
+    position mod 2^{v+2}, which divides 2^{K+1}, so the two letters agree.
+    The only i with nu_2(i) >= K is 2^K.
     """
     if k < 1:
         raise ValueError("power exponent must be >= 1")
     if u < len(b.preperiod) + 1:
         raise ValueError("block exponent must put the instruction window in the periodic tail")
     center_order = u + k
-    half = 1 << (center_order + 1)
+    quarter = 1 << center_order
+    half = 2 * quarter
     width = 1 << u
     cells = 1 << k
     for t in range(SEED_SCAN_BOUND + 1):
@@ -309,10 +322,7 @@ def find_seed_block(b: InstructionSequence, u: int, k: int) -> int:
         l = c - half
         if l < 0:
             continue
-        if any(
-            paperfolding_letter(b, l + i) != paperfolding_letter(b, l + half + i)
-            for i in range(1, half)
-        ):
+        if paperfolding_letter(b, c - quarter) != paperfolding_letter(b, c + quarter):
             continue
         # a letter of order > u+k+4 is a multiple of 2^{u+k+5}
         if ((l + 2 * half - 1) >> (center_order + 5)) > (l >> (center_order + 5)):
@@ -349,6 +359,9 @@ def _shift_schedule(
     places the first base with positive weight itself. The schedule runs on
     small integers: the span before a step is below 2^r, so no carry crosses
     bit r and the span after it has bit length r + (l_i + cells*width).bit_length().
+    The schedule stops, refusing the certificate, as soon as that bit length
+    passes MAX_COMBINED_BITS: it never grows shorter, and printing it in
+    decimal costs time quadratic in it.
     """
     pre, per = len(b.preperiod), len(b.period)
     schedule = []
@@ -371,6 +384,12 @@ def _shift_schedule(
                 r += 1
             shifts.append(r)
             span_bits = r + base_bits
+            if span_bits > MAX_COMBINED_BITS:
+                raise ValueError(
+                    f"the certificate would span {span_bits} bits after "
+                    f"{sum(map(len, schedule)) + len(shifts)} of its {sum(weights)} base "
+                    f"copies, over the budget of {MAX_COMBINED_BITS} bits (2^20, MAX_COMBINED_BITS)"
+                )
         schedule.append(shifts)
     return schedule
 

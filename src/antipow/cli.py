@@ -14,7 +14,7 @@ import sys
 from importlib import import_module
 from typing import TYPE_CHECKING
 
-from .instructions import _unlimited_int_digits
+from .instructions import MAX_COMBINED_BITS, _unlimited_int_digits
 
 if TYPE_CHECKING:
     from .instructions import InstructionSequence
@@ -171,11 +171,6 @@ def cmd_construct(args) -> int:
 
 DELTA_FLAGS = ("d", "m", "n", "l2", "d2", "r")
 
-# bits of the combined geometry's coordinates that the precheck query
-# accepts; the order-8 certificates of the pinned sequences have at most
-# 39,359 bits
-MAX_COMBINED_BITS = 2**20
-
 
 def _delta_mode(args) -> str:
     """The query the given flags select: --l2 --d2 --r the additivity
@@ -196,10 +191,25 @@ def _delta_mode(args) -> str:
     return mode
 
 
+def _check_cell_budget(l: int, d: int, m: int) -> None:
+    """Refuse m cells after l of width d whose m + 1 boundary counts would
+    hold over 64 * MAX_COMBINED_BITS bits, counting at least one 64-bit word
+    per boundary, before any cell is counted."""
+    bits = (m + 1) * max(64, (l + m * d).bit_length())
+    if bits > 64 * MAX_COMBINED_BITS:
+        raise ValueError(
+            f"{m} cells would need {bits} bits of boundary counts, "
+            f"over the budget of {64 * MAX_COMBINED_BITS} bits (64 * 2^20, 64 * MAX_COMBINED_BITS)"
+        )
+
+
 def cmd_delta(args) -> int:
     mode = _delta_mode(args)
     b, l, code = args.instructions, args.l, 0
+    if mode != "scalar":
+        _check_cell_budget(l, args.d, args.m)
     if mode == "precheck":
+        _check_cell_budget(args.l2, args.d2, args.m)
         # the combined geometry (l + 2^r l2, d + 2^r d2) has at least this
         # many bits; refuse before the precheck or the combination shifts
         bits = max(l.bit_length(), args.d.bit_length(), args.r + max(args.l2, args.d2).bit_length())

@@ -3,7 +3,7 @@
 This module needs no numpy, so the big-integer layer (`calculus`) and the
 commands built on it start without importing it. Every command loads it,
 so it also holds the guard that lifts the interpreter's int/str digit limit
-for big-integer text.
+for big-integer text and the bit budget of the big coordinates.
 """
 
 from __future__ import annotations
@@ -14,6 +14,11 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 _INSTRUCTION_RE = re.compile(r"^([+-]*)\(([+-]+)\)$")
+
+# bits of the big coordinates a command builds: the span of a certificate
+# and the combined geometry of the additivity precheck; the order-8
+# certificates of the pinned sequences have at most 39,359 bits
+MAX_COMBINED_BITS = 2**20
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,8 @@ from antipow import (
     paperfolding_letter,
     toeplitz_paperfolding_prefix,
 )
-from antipow.calculus import _cell_ones, _shift_schedule
+from antipow.calculus import SEED_SCAN_BOUND, _cell_ones, _shift_schedule
+from antipow.instructions import MAX_COMBINED_BITS
 from conftest import brute_delta, brute_delta_vector, brute_ones, materialized
 
 ALT = InstructionSequence.parse("(-+)")
@@ -294,6 +295,63 @@ def test_find_seed_block_validation():
         find_seed_block(InstructionSequence.parse("+-(-)"), 1, 1)
 
 
+def reference_seed_block(b, u, k):
+    """find_seed_block by its definition, on materialized letters: both
+    halves of each candidate block compared letter by letter, and the base
+    vectors counted on the letters."""
+    center_order = u + k
+    half = 1 << (center_order + 1)
+    width, cells = 1 << u, 1 << k
+    for t in range(SEED_SCAN_BOUND + 1):
+        c = (2 + b.at(center_order) + 4 * t) << center_order
+        l = c - half
+        if l < 0:
+            continue
+        w = materialized(b, 1 << (c + half).bit_length())
+        # position p is w.data[p - 1]
+        if any(w.data[l + i - 1] != w.data[c + i - 1] for i in range(1, half)):
+            continue
+        if ((l + 2 * half - 1) >> (center_order + 5)) > (l >> (center_order + 5)):
+            continue
+        run = brute_delta_vector(w, l, width, 2 * cells - 1)
+        if len({run[i : i + cells] for i in range(cells)}) != cells:
+            continue
+        return l
+    return None
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    pre=st.lists(st.sampled_from((1, -1)), max_size=6).map(tuple),
+    per=st.lists(st.sampled_from((1, -1)), min_size=1, max_size=4).map(tuple),
+    extra=st.integers(1, 2),
+    k=st.integers(1, 3),
+)
+def test_find_seed_block_matches_the_letter_by_letter_halves(pre, per, extra, k):
+    b = InstructionSequence(pre, per)
+    u = len(pre) + extra
+    assert find_seed_block(b, u, k) == reference_seed_block(b, u, k)
+
+
+@pytest.mark.parametrize("m", [4, 8])
+def test_construct_reads_two_letters_per_seed_candidate(monkeypatch, m):
+    # comparing the halves letter by letter reads 2^(u+k) pairs per
+    # candidate, 2^27 for this preperiod at m = 8
+    reads = 0
+
+    def counting_letter(b, i):
+        nonlocal reads
+        reads += 1
+        if reads > 64:
+            raise AssertionError("over 64 letter reads")
+        return paperfolding_letter(b, i)
+
+    monkeypatch.setattr("antipow.calculus.paperfolding_letter", counting_letter)
+    b = InstructionSequence.parse("+-+--+-+-++-+-+--+-+-++-(-+)")
+    assert len(b.preperiod) == 24
+    assert construct_antipower(b, m).verified
+
+
 def test_alpha_sequence_cases():
     const = [DeltaVector((1, 1)), DeltaVector((0, 0)), DeltaVector((2, 2))]
     assert alpha_sequence(const) == [1, 1, 1]
@@ -542,6 +600,16 @@ def test_shift_schedule_matches_the_step_by_step_additivity_path(b, m):
     assert _shift_schedule(b, base_starts, width, cells, alphas) == expected
     cert = construct_antipower(b, m)
     assert (cert.start, cert.cell_width) == (start, d)
+
+
+def test_shift_schedule_stops_once_the_span_passes_the_bit_budget():
+    # each copy adds 4 bits, so the budget is passed at copy 2^18 + 1 of
+    # 10^6 + 1; without the stop the schedule takes all of them
+    b = InstructionSequence.parse("(+)")
+    lp = find_seed_block(b, 1, 1)
+    with pytest.raises(ValueError, match="MAX_COMBINED_BITS") as info:
+        _shift_schedule(b, [lp, lp + 2], 2, 2, [10**6, 1])
+    assert str(MAX_COMBINED_BITS) in str(info.value)
 
 
 def test_shift_schedule_refuses_a_geometry_constraining_the_preperiod():

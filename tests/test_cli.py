@@ -390,6 +390,25 @@ def test_construct_refuses_orders_from_17_before_the_seed_search(capsys, monkeyp
     assert "2^(2^" in err and "MAX_ADDITIVITY_STEPS" in err
 
 
+def test_construct_refuses_a_certificate_over_the_bit_budget(capsys, monkeypatch):
+    real = antipow.calculus._shift_schedule
+    refusals = []
+
+    def schedule(*args):
+        try:
+            return real(*args)
+        except ValueError as exc:
+            refusals.append(str(exc))
+            raise
+
+    # the refusal comes from the shift schedule, before any big coordinate
+    monkeypatch.setattr("antipow.calculus._shift_schedule", schedule)
+    code, out, err = run(capsys, "construct", "--instructions=" + "+-" * 200 + "(-+)", "--order", "8")
+    assert code == 2 and out == ""
+    assert len(refusals) == 1 and refusals[0] in err
+    assert "MAX_COMBINED_BITS" in err and str(2**20) in err
+
+
 def test_construct_rejects_order_one(capsys):
     code, _, _ = run(capsys, "construct", "--instructions", "(+)", "--order", "1")
     assert code == 2
@@ -488,6 +507,27 @@ def test_delta_refuses_a_combined_geometry_over_the_bit_budget(capsys):
     assert "MAX_COMBINED_BITS" in err and str(2**20) in err
 
 
+CELLS_OVER_BUDGET = {
+    "vector": ("--d", "2", "--m", "1048576"),
+    "precheck": ("--d", "2", "--m", "1048576", "--l2", "0", "--d2", "2", "--r", "30"),
+    # 2^19 cells of width 2 fit the budget; the 201-bit second geometry does not
+    "precheck second geometry": ("--d", "2", "--m", str(2**19), "--l2", str(2**200), "--d2", "2",
+                                 "--r", "0"),
+}
+
+
+@pytest.mark.parametrize("flags", CELLS_OVER_BUDGET.values(), ids=CELLS_OVER_BUDGET)
+def test_delta_refuses_cells_over_the_budget_before_counting(capsys, monkeypatch, flags):
+    def no_count(*args, **kwargs):
+        raise AssertionError("a cell was counted")
+
+    monkeypatch.setattr("antipow.calculus._cell_ones", no_count)
+    monkeypatch.setattr("antipow.calculus.differing_orders", no_count)
+    code, out, err = run(capsys, "delta", "--instructions", "(+)", "--l", "0", *flags)
+    assert code == 2 and out == ""
+    assert "64 * MAX_COMBINED_BITS" in err and str(64 * 2**20) in err
+
+
 def test_delta_missing_geometry_exits_2(capsys):
     code, _, _ = run(capsys, "delta", "--instructions", "(+)", "--l", "0")
     assert code == 2
@@ -576,6 +616,11 @@ OUT_OF_RANGE = [
     (("delta", "--instructions", "(+)", "--l", "20", "--n", "14"), "empty interval (20, 14)"),
     (("scan", "sierpinski", "--length", "100", "--order", "3", "--kind", "antipower",
       "--d-max", "0"), "d_max must be >= 1"),
+    (("delta", "--instructions", "(+)", "--l", "0", "--d", "2", "--m", "4000000"),
+     "over the budget of 67108864 bits (64 * 2^20, 64 * MAX_COMBINED_BITS)"),
+    (("delta", "--instructions", "(+)", "--l", "0", "--d", "2", "--m", "4000000",
+      "--l2", "0", "--d2", "2", "--r", "30"),
+     "over the budget of 67108864 bits (64 * 2^20, 64 * MAX_COMBINED_BITS)"),
 ]
 
 
