@@ -35,13 +35,6 @@ from .instructions import (
 # candidate block centers find_seed_block tries before giving up
 SEED_SCAN_BOUND = 1024
 
-# additivity steps construct_antipower takes on; the paper's weights need
-# 3,279 at orders 5..8 and 21,523,359 at orders 9..16; each step adds the
-# bit length of a base geometry's span plus less than len(period), 6 to 12
-# bits for the sequences the tests pin, whose order-8 starts have 19,679 to
-# 39,359 bits
-MAX_ADDITIVITY_STEPS = 10**5
-
 
 @dataclass(frozen=True)
 class OrderDecomposition:
@@ -462,13 +455,15 @@ def construct_antipower(b: InstructionSequence, m: int) -> AntipowerCertificate:
     cells = 1 << k
     # every cell delta of width 2^u is 0, 1 or 2, so at most 3 of the 2^k
     # distinct base vectors are constant; each other one has spread >= 1 and
-    # at least doubles the weights after it, so the steps exceed 2^(2^k - 3),
-    # which is over the budget from k = 5 on: refuse before the seed search
-    if cells - 3 >= MAX_ADDITIVITY_STEPS.bit_length():
+    # at least doubles the weights after it, so the weights sum to over
+    # 2^(2^k - 3). Each base copy adds at least one bit to the span, so from
+    # k = 5 on the span passes the budget: refuse before the seed search
+    if cells - 3 >= MAX_COMBINED_BITS.bit_length():
         raise ValueError(
-            f"order {m} needs at least 2^(2^{k} - 3) + 1 additivity steps "
-            f"(2^{k} distinct base vectors, at most 3 of them constant), "
-            f"over the budget of {MAX_ADDITIVITY_STEPS} (MAX_ADDITIVITY_STEPS)"
+            f"order {m} needs at least 2^(2^{k} - 3) + 1 base copies "
+            f"(2^{k} distinct base vectors, at most 3 of them constant), each adding "
+            f"at least one bit to the span, over the budget of {MAX_COMBINED_BITS} bits "
+            f"(2^20, MAX_COMBINED_BITS)"
         )
     u = len(b.preperiod) + 1
     width = 1 << u
@@ -481,13 +476,10 @@ def construct_antipower(b: InstructionSequence, m: int) -> AntipowerCertificate:
     run = delta_vector(b, lp, width, 2 * cells - 1).components
     base_vectors = [DeltaVector(run[i : i + cells]) for i in range(cells)]
     alphas = alpha_sequence(base_vectors)
-    steps = sum(alphas) - 1
-    if steps > MAX_ADDITIVITY_STEPS:
-        raise ValueError(
-            f"order {m} needs {steps} additivity steps, "
-            f"over the budget of {MAX_ADDITIVITY_STEPS} (MAX_ADDITIVITY_STEPS)"
-        )
 
+    # the schedule is the other refusal, of a span over MAX_COMBINED_BITS:
+    # at orders 9..16 of the pinned sequences it stops after 87k to 150k of
+    # the 21,523,360 copies
     # M_i = sum of 2^r over base i's shifts (every weight is >= 1), set bit
     # by bit in a byte buffer: linear in its bits, where summing the powers
     # copies the growing sum at every shift

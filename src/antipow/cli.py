@@ -14,7 +14,7 @@ import sys
 from importlib import import_module
 from typing import TYPE_CHECKING
 
-from .instructions import MAX_COMBINED_BITS, _unlimited_int_digits
+from .instructions import MAX_ARRAY_LENGTH, MAX_COMBINED_BITS, _unlimited_int_digits
 
 if TYPE_CHECKING:
     from .instructions import InstructionSequence
@@ -59,11 +59,6 @@ def _ceil_log3(n: int) -> int:
     while 3**e < n:
         e += 1
     return e
-
-
-# the array layers index positions with int32, so every word command refuses
-# longer prefixes before generating one
-MAX_ARRAY_LENGTH = 2**31 - 1
 
 
 def _check_array_length(length: int) -> None:
@@ -220,7 +215,8 @@ def cmd_delta(args) -> int:
             )
         report = _cli.additivity_precheck(b, l, args.d, args.l2, args.d2, args.m, args.r)
         if report.ok:
-            cl, cd = _cli.additivity_combine(b, l, args.d, args.l2, args.d2, args.m, args.r)
+            # the combination additivity_combine returns, without its second precheck
+            cl, cd = l + (args.l2 << args.r), args.d + (args.d2 << args.r)
             record = {"ok": True, "l": str(cl), "d": str(cd)}
             text = f"precheck: ok\ncombined: l={cl} d={cd}"
         else:

@@ -3,7 +3,8 @@
 This module needs no numpy, so the big-integer layer (`calculus`) and the
 commands built on it start without importing it. Every command loads it,
 so it also holds the guard that lifts the interpreter's int/str digit limit
-for big-integer text and the bit budget of the big coordinates.
+for big-integer text and the two budgets: the bit budget of the big
+coordinates and the prefix budget of the array layers.
 """
 
 from __future__ import annotations
@@ -16,9 +17,14 @@ from dataclasses import dataclass
 _INSTRUCTION_RE = re.compile(r"^([+-]*)\(([+-]+)\)$")
 
 # bits of the big coordinates a command builds: the span of a certificate
-# and the combined geometry of the additivity precheck; the order-8
-# certificates of the pinned sequences have at most 39,359 bits
+# and the combined geometry of the additivity precheck. It is construct's
+# only budget: the order-8 certificates of the pinned sequences have at most
+# 39,359 bits, and their orders from 9 on pass it
 MAX_COMBINED_BITS = 2**20
+
+# the array layers index positions with int32, so every word command refuses
+# longer prefixes before generating one, and the arrays refuse longer words
+MAX_ARRAY_LENGTH = 2**31 - 1
 
 
 @dataclass(frozen=True)

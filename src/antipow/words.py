@@ -14,6 +14,7 @@ from typing import TYPE_CHECKING, Mapping
 
 # REGULAR and paperfolding_letter are re-exported from here
 from .instructions import (
+    MAX_ARRAY_LENGTH,
     PAPERFOLDING_ALPHABET,
     REGULAR,
     InstructionSequence,
@@ -94,8 +95,8 @@ class FiniteWord:
         import numpy as np
 
         n = len(self.data)
-        if n >= 2**31:
-            raise ValueError("cumulative counts need a word shorter than 2^31 letters")
+        if n > MAX_ARRAY_LENGTH:
+            raise ValueError(f"cumulative counts need at most {MAX_ARRAY_LENGTH} letters (MAX_ARRAY_LENGTH)")
         arr = np.frombuffer(self.data, dtype=np.uint8)
         out = np.zeros((n + 1, len(self.alphabet)), dtype=np.int32, order="F")
         for j in range(len(self.alphabet)):
@@ -114,8 +115,8 @@ class FiniteWord:
         import numpy as np
 
         n = len(self)
-        if n >= 2**31:
-            raise ValueError("rank levels need a word shorter than 2^31 letters")
+        if n > MAX_ARRAY_LENGTH:
+            raise ValueError(f"rank levels need at most {MAX_ARRAY_LENGTH} letters (MAX_ARRAY_LENGTH)")
         _, ranks = np.unique(np.frombuffer(self.data, dtype=np.uint8), return_inverse=True)
         level = np.zeros(n + 1, dtype=np.int32)
         level[:n] = ranks + 1

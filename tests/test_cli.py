@@ -369,16 +369,6 @@ def test_construct_order_eight_prints_and_round_trips(capsys):
     assert cert.to_json() + "\n" == out
 
 
-def test_construct_refuses_order_over_step_budget(capsys, monkeypatch):
-    def no_step(*args, **kwargs):
-        raise AssertionError("an additivity step was taken")
-
-    monkeypatch.setattr("antipow.calculus._shift_schedule", no_step)
-    code, out, err = run(capsys, "construct", "--instructions", "(+)", "--order", "9")
-    assert code == 2 and out == ""
-    assert "21523359 additivity steps" in err and "MAX_ADDITIVITY_STEPS" in err
-
-
 @pytest.mark.parametrize("order", ["17", "1000"])
 def test_construct_refuses_orders_from_17_before_the_seed_search(capsys, monkeypatch, order):
     def no_seed(*args, **kwargs):
@@ -387,10 +377,16 @@ def test_construct_refuses_orders_from_17_before_the_seed_search(capsys, monkeyp
     monkeypatch.setattr("antipow.calculus.find_seed_block", no_seed)
     code, out, err = run(capsys, "construct", "--instructions", "(+)", "--order", order)
     assert code == 2 and out == ""
-    assert "2^(2^" in err and "MAX_ADDITIVITY_STEPS" in err
+    assert "2^(2^" in err and "MAX_COMBINED_BITS" in err
 
 
-def test_construct_refuses_a_certificate_over_the_bit_budget(capsys, monkeypatch):
+@pytest.mark.parametrize("instructions, order", [
+    pytest.param("+-" * 200 + "(-+)", "8", id="order8-preperiod400"),
+    # the paper weights of orders 9..16 have 21,523,360 copies
+    pytest.param("(+)", "9", id="order9"),
+    pytest.param("(+)", "16", id="order16"),
+])
+def test_construct_refuses_a_certificate_over_the_bit_budget(capsys, monkeypatch, instructions, order):
     real = antipow.calculus._shift_schedule
     refusals = []
 
@@ -403,7 +399,7 @@ def test_construct_refuses_a_certificate_over_the_bit_budget(capsys, monkeypatch
 
     # the refusal comes from the shift schedule, before any big coordinate
     monkeypatch.setattr("antipow.calculus._shift_schedule", schedule)
-    code, out, err = run(capsys, "construct", "--instructions=" + "+-" * 200 + "(-+)", "--order", "8")
+    code, out, err = run(capsys, "construct", "--instructions=" + instructions, "--order", order)
     assert code == 2 and out == ""
     assert len(refusals) == 1 and refusals[0] in err
     assert "MAX_COMBINED_BITS" in err and str(2**20) in err
@@ -496,6 +492,23 @@ def test_delta_combine_ok(capsys):
     )
     assert code == 0
     assert out == "precheck: ok\ncombined: l=0 d=34\n"
+
+
+def test_delta_precheck_runs_the_precheck_once(capsys, monkeypatch):
+    real = antipow.calculus.differing_orders
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr("antipow.calculus.differing_orders", counted)
+    code, out, _ = run(
+        capsys, "delta", "--instructions", "(+)", "--l", "0", "--d", "2",
+        "--m", "2", "--l2", "6", "--d2", "2", "--r", "4",
+    )
+    assert code == 0 and out == "precheck: ok\ncombined: l=96 d=34\n"
+    assert calls == [(REGULAR, 6, 2, 2)]
 
 
 def test_delta_refuses_a_combined_geometry_over_the_bit_budget(capsys):

@@ -134,9 +134,27 @@ def test_construct_succeeds_for_random_instruction_sequences():
             )
 
 
+PINNED = ("(+)", "(-+)", "+-(-)", "-(+--)", "(-)", "++(+-)", "-+-(+-+-)")
+
+
 def test_certificates_of_seven_sequences_at_orders_2_to_8_are_pinned():
     digest = hashlib.sha256()
-    for text in ("(+)", "(-+)", "+-(-)", "-(+--)", "(-)", "++(+-)", "-+-(+-+-)"):
+    for text in PINNED:
         for m in range(2, 9):
             digest.update(construct_antipower(InstructionSequence.parse(text), m).to_json().encode())
     assert digest.hexdigest() == "801677e7af07082f01a49dadd1e2bd7ed23999ff12138f32046cf548841a8b58"
+
+
+@pytest.mark.parametrize("text", PINNED)
+def test_the_bit_budget_admits_a_span_of_exactly_its_bits(monkeypatch, text):
+    b = InstructionSequence.parse(text)
+    for m in range(2, 9):
+        cert = construct_antipower(b, m)
+        span = (cert.start + (cert.cell_width << cert.k)).bit_length()
+        monkeypatch.setattr("antipow.calculus.MAX_COMBINED_BITS", span)
+        assert construct_antipower(b, m) == cert
+        monkeypatch.setattr("antipow.calculus.MAX_COMBINED_BITS", span - 1)
+        with pytest.raises(ValueError, match="MAX_COMBINED_BITS") as info:
+            construct_antipower(b, m)
+        assert info.traceback[-1].name == "_shift_schedule"
+        monkeypatch.undo()

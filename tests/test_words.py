@@ -310,8 +310,16 @@ def test_rank_levels_refuse_sequences_whose_pair_keys_overflow():
 
     w = LongWord(("a", "b"), b"\x00")
     for read in (lambda: w.factor_keys(1), lambda: w.factor_keys(3)):
-        with pytest.raises(ValueError, match="shorter than 2\\^31"):
+        with pytest.raises(ValueError, match="at most 2147483647 letters \\(MAX_ARRAY_LENGTH\\)"):
             read()
+
+
+def test_array_methods_refuse_words_over_the_prefix_budget(monkeypatch):
+    monkeypatch.setattr("antipow.words.MAX_ARRAY_LENGTH", 63)
+    for read in (lambda w: w.cum_counts, lambda w: w.factor_keys(1)):
+        read(toeplitz_paperfolding_prefix(REGULAR, 63))
+        with pytest.raises(ValueError, match="at most 63 letters \\(MAX_ARRAY_LENGTH\\)"):
+            read(toeplitz_paperfolding_prefix(REGULAR, 64))
 
 
 def test_random_instruction_sequences_oracle_consistency():
