@@ -1,5 +1,10 @@
 """Parikh-vector machinery: abelian and factor complexity, prefix normality,
-block classing of power-of-two factors and their cyclic-shift spectra."""
+block classing of power-of-two factors and their cyclic-shift spectra.
+
+The abelian complexity of the infinite Sierpinski and Thue–Morse words also
+has a closed form here, which reads no prefix; like `words`, the module
+imports no numpy until a `FiniteWord` array is read.
+"""
 
 from __future__ import annotations
 
@@ -119,3 +124,46 @@ def complexity_table(w: FiniteWord, kind: str, max_n: int) -> ComplexityTable:
     else:
         values = [abelian_complexity(w, n) for n in range(1, max_n + 1)]
     return ComplexityTable(kind, tuple(zip(range(1, max_n + 1), values)))
+
+
+def _sierpinski_abelian(n: int) -> int:
+    """Abelian complexity a(n) of the infinite Sierpinski word, n >= 1:
+    1 + |s[1..n]|_a (criterion 05). Letter i is a exactly when i - 1 has no
+    base-3 digit 1, so the a-count is the number of m < n whose digits are
+    all 0 or 2. Reading n's digits from the top, a nonzero digit at place j
+    adds the 2^j such m that agree with n above j and have 0 at j, and only
+    a 2 lets m go on agreeing with n below j."""
+    digits = []
+    while n:
+        n, digit = divmod(n, 3)
+        digits.append(digit)
+    count = 0
+    for j in reversed(range(len(digits))):
+        if digits[j]:
+            count += 1 << j
+            if digits[j] == 1:
+                break
+    return count + 1
+
+
+def _thue_morse_abelian(n: int) -> int:
+    """Abelian complexity a(n) of the infinite Thue–Morse word, n >= 1: 2 for
+    odd n, 3 for even n (Richomme, Saari, Zamboni, J. London Math. Soc. 2011)."""
+    return 3 - n % 2
+
+
+# the abelian complexity a(n) of each infinite word that has a closed form
+_INFINITE_ABELIAN = {"sierpinski": _sierpinski_abelian, "thue-morse": _thue_morse_abelian}
+
+
+def infinite_abelian_table(word: str, max_n: int) -> ComplexityTable | None:
+    """Abelian complexity table of the infinite word for n = 1..max_n, from
+    its closed form with no prefix; None for a word with none here (the
+    paperfolding words), whose table needs a prefix that holds every
+    factor."""
+    if max_n < 1:
+        raise ValueError(f"max_n {max_n} must be >= 1")
+    value = _INFINITE_ABELIAN.get(word)
+    if value is None:
+        return None
+    return ComplexityTable("abelian", tuple((n, value(n)) for n in range(1, max_n + 1)))

@@ -100,7 +100,9 @@ def cmd_generate(args) -> int:
 def _complexity_word_length(word: str, max_n: int) -> int:
     """The default prefix length of `complexity`: a closed form per word for
     a prefix that holds every factor of length <= max_n of the infinite
-    word, so every value of the table is exact for the infinite word."""
+    word, so every value of the table is exact for the infinite word. An
+    abelian table from a closed form reads no prefix, but this length is
+    still its budget."""
     if word == "sierpinski":
         # copies of the 3^k-letter prefix s_k are separated by runs of b of
         # length at least 3^k, so every factor of length n <= 3^k occurs in
@@ -131,8 +133,15 @@ def cmd_complexity(args) -> int:
         length = _complexity_word_length(args.word, args.max_n)
     if args.max_n > length:
         raise ValueError("--max-n exceeds the generated prefix length")
-    w = _build_word(args.word, args.instructions, length)
-    table = _cli.complexity_table(w, args.kind, args.max_n)
+    table = None
+    if args.length is None and args.kind == "abelian":
+        # a closed form is exact for the infinite word with no prefix; max_n
+        # keeps the budget of the prefix that would hold every factor
+        _check_array_length(length)
+        table = _cli.infinite_abelian_table(args.word, args.max_n)
+    if table is None:
+        w = _build_word(args.word, args.instructions, length)
+        table = _cli.complexity_table(w, args.kind, args.max_n)
     if args.fmt == "json":
         _emit("\n".join(json.dumps({"n": n, "value": v}) for n, v in table.rows), args.output)
     else:

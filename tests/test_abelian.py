@@ -14,6 +14,7 @@ from antipow import (
     complexity_table,
     cyclic_shift_spectrum,
     factor_complexity,
+    infinite_abelian_table,
     is_prefix_normal,
     morphism_prefix,
     parikh,
@@ -142,6 +143,27 @@ def test_sierpinski_abelian_complexity_equals_one_plus_prefix_a_count():
         low = 3 ** (e - 1) + 1 if e else 1
         for n in range(low, 3**e + 1):
             assert abelian_complexity(window, n) == 1 + text[:n].count("a")
+
+
+def test_sierpinski_closed_form_matches_the_prefix_table():
+    # the 3^8 prefix holds every factor of length <= 3^7
+    max_n = 3**7
+    expected = complexity_table(sierpinski_prefix(3**8), "abelian", max_n)
+    assert infinite_abelian_table("sierpinski", max_n) == expected
+
+
+def test_thue_morse_closed_form_matches_the_prefix_table():
+    # the 4·2^12 prefix holds every factor of length <= 2^12
+    max_n = 2**12
+    expected = complexity_table(morphism_prefix(THUE_MORSE_MORPHISM, "0", 4 * max_n), "abelian",
+                                max_n)
+    assert infinite_abelian_table("thue-morse", max_n) == expected
+
+
+def test_infinite_abelian_table_needs_a_closed_form():
+    assert infinite_abelian_table("paperfolding", 8) is None
+    with pytest.raises(ValueError):
+        infinite_abelian_table("sierpinski", 0)
 
 
 def test_phi_u_block_classes():

@@ -38,6 +38,7 @@ from antipow import (
     toeplitz_paperfolding_prefix,
     THUE_MORSE_MORPHISM,
 )
+from antipow.abelian import _sierpinski_abelian
 from antipow.scan import BlockSplit
 from antipow.cli import main
 from conftest import brute_delta_vector, materialized
@@ -153,6 +154,24 @@ def test_criterion_05_sierpinski_bounds_as_stated():
               "exactly at n = 3^k (upper) and n = 2*3^k (lower)",
            not violations and upper_hits == expected_upper and lower_hits == expected_lower,
            detail)
+
+
+def test_criterion_05_sierpinski_bounds_at_scale():
+    # the closed form of a(n) = 1 + |s[1..n]|_a reads no prefix, so the
+    # equality cases n = 3^k (upper side) and n = 2 * 3^k (lower side) are
+    # checked up to k = 40, where a prefix holding them would have 3^41 letters
+    exponent = math.log(2) / math.log(3)
+    tol = 1e-9
+    bad = []
+    for k in range(41):
+        for n in (3**k, 2 * 3**k):
+            value = _sierpinski_abelian(n) - 1
+            lower, upper = (n / 2) ** exponent, n**exponent
+            if value != 2**k or not lower * (1 - tol) <= value <= upper * (1 + tol):
+                bad.append((n, value))
+    report(5, "a(n) - 1 = 2^k at n = 3^k and n = 2*3^k for k <= 40, inside "
+              "(n/2)^log3(2) <= a(n) - 1 <= n^log3(2)",
+           not bad, f"first: n={bad[0][0]} a(n)-1={bad[0][1]}" if bad else "")
 
 
 def test_criterion_06_prefix_normality():

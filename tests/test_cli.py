@@ -179,15 +179,24 @@ def test_default_paperfolding_prefixes_hold_every_factor_for_drawn_sequences(b):
 
 
 def test_complexity_default_prefix_over_the_budget_is_refused(capsys, no_generation):
-    # k = ceil(log2 max_n) = 29 gives 4·2^29 and 7·2^29 letters, over 2^31 - 1;
-    # at k = 28 both closed forms fit and reach the generator
+    # k = ceil(log2 max_n) = 29 gives 4·2^29 and 7·2^29 letters, over 2^31 - 1,
+    # for both kinds: abelian tables read no prefix but keep its budget. At
+    # k = 28 both closed forms fit, and a factor table reaches the generator
     for argv, fits in ((("thue-morse",), 4 << 28), (("paperfolding", "(+)"), 7 << 28)):
-        code, out, err = run(capsys, "complexity", *argv, "--max-n", str(2**28 + 1))
-        assert code == 2 and out == ""
-        assert "exceeds the budget of 2147483647 letters" in err
+        for kind in ("abelian", "factor"):
+            code, out, err = run(capsys, "complexity", *argv, "--kind", kind,
+                                 "--max-n", str(2**28 + 1))
+            assert code == 2 and out == ""
+            assert "exceeds the budget of 2147483647 letters" in err
         with pytest.raises(_Generated) as exc:
-            run(capsys, "complexity", *argv, "--max-n", str(2**28))
+            run(capsys, "complexity", *argv, "--kind", "factor", "--max-n", str(2**28))
         assert exc.value.args == (fits,)
+
+
+@pytest.mark.parametrize("word", ["sierpinski", "thue-morse"])
+def test_complexity_default_abelian_table_generates_no_word(capsys, no_generation, word):
+    code, out, _ = run(capsys, "complexity", word, "--max-n", "100")
+    assert code == 0 and len(_rows(out)) == 100
 
 
 @pytest.mark.parametrize("kind", ["factor", "abelian"])
@@ -206,6 +215,19 @@ def test_complexity_default_prefix_gets_one_factor_pass_each(capsys, monkeypatch
                        "--max-n", "2434")
     assert code == 0 and len(_rows(out)) == 2434
     assert lengths == ([7 << 12] if kind == "factor" else [])
+
+
+@pytest.mark.parametrize("word", ["sierpinski", "thue-morse"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_complexity_default_abelian_table_equals_the_prefix_table(capsys, word, fmt):
+    # the default table reads no prefix; given the default prefix length, the
+    # same query takes the finite-prefix path
+    for max_n in (1, 2, 3, 4, 27, 28, 243, 244, 64, 65, 512, 513):
+        query = ("complexity", word, "--max-n", str(max_n), "--format", fmt)
+        code, out, _ = run(capsys, *query)
+        length = _complexity_word_length(word, max_n)
+        assert code == 0 and len(out.splitlines()) == max_n + (fmt == "csv")
+        assert run(capsys, *query, "--length", str(length)) == (0, out, ""), max_n
 
 
 def test_complexity_json_format(capsys):

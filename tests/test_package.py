@@ -1,8 +1,9 @@
 """The package's public names load on first use, and `antipow.cli` reads
 them through the package's loader, so each command imports only the layers
 it calls: the big-integer commands (`construct`, `delta`) load no word layer,
-`generate` loads no numpy, and `complexity` and `scan` load numpy but not
-each other's layer or `calculus`."""
+`generate` and a default abelian Sierpinski or Thue–Morse `complexity`
+table load no numpy, and `complexity` on a prefix and `scan` load numpy but
+not each other's layer or `calculus`."""
 
 import os
 import subprocess
@@ -22,6 +23,10 @@ GENERATE = ["generate", "sierpinski", "--length", "8"]
 GENERATE_THUE_MORSE = ["generate", "thue-morse", "--length", "8"]
 GENERATE_PAPERFOLDING = ["generate", "paperfolding", "(+)", "--length", "8"]
 COMPLEXITY = ["complexity", "sierpinski", "--max-n", "3"]
+COMPLEXITY_THUE_MORSE = ["complexity", "thue-morse", "--max-n", "3"]
+COMPLEXITY_PAPERFOLDING = ["complexity", "paperfolding", "(+)", "--max-n", "3"]
+COMPLEXITY_PREFIX = ["complexity", "sierpinski", "--max-n", "3", "--length", "9"]
+COMPLEXITY_FACTOR = ["complexity", "sierpinski", "--max-n", "3", "--kind", "factor"]
 SCAN = ["scan", "sierpinski", "--length", "27", "--order", "3", "--kind", "antipower"]
 
 # what `from antipow import *` bound when every layer was imported eagerly
@@ -34,9 +39,9 @@ PUBLIC_NAMES = [
     "calculus", "characterize_split", "choose_r", "classify_block", "complexity_table",
     "construct_antipower", "cyclic_shift_spectrum", "delta_interval", "delta_vector",
     "differing_orders", "e_vector", "epsilon", "factor_complexity", "find_first",
-    "find_seed_block", "is_prefix_normal", "morphism_prefix", "ones_of_order_in_interval",
-    "ones_upto", "order_decompose", "order_shift_check", "paperfolding_letter", "parikh",
-    "parikh_prefix_table", "phi_u", "scan", "sierpinski_prefix",
+    "find_seed_block", "infinite_abelian_table", "is_prefix_normal", "morphism_prefix",
+    "ones_of_order_in_interval", "ones_upto", "order_decompose", "order_shift_check",
+    "paperfolding_letter", "parikh", "parikh_prefix_table", "phi_u", "scan", "sierpinski_prefix",
     "toeplitz_paperfolding_prefix", "verify_certificate", "words",
 ]
 
@@ -64,8 +69,11 @@ def main_code(argv: list[str]) -> str:
         (main_code(DELTA), False),
         (main_code(CONSTRUCT), False),
         (main_code(GENERATE), False),
+        (main_code(COMPLEXITY_THUE_MORSE), False),
+        (main_code(COMPLEXITY_PAPERFOLDING), True),
     ],
-    ids=["import", "import cli", "instructions", "main delta", "main construct", "main generate"],
+    ids=["import", "import cli", "instructions", "main delta", "main construct", "main generate",
+         "main complexity", "main complexity paperfolding"],
 )
 def test_numpy_is_imported_only_by_the_word_layers(code, imported):
     assert ("numpy" in modules_after(code)) is imported
@@ -75,12 +83,15 @@ def test_numpy_is_imported_only_by_the_word_layers(code, imported):
     "argv, layers",
     [
         (GENERATE_PAPERFOLDING, {"words"}),
-        (COMPLEXITY, {"words", "abelian", "numpy"}),
+        (COMPLEXITY, {"words", "abelian"}),
+        (COMPLEXITY_PAPERFOLDING, {"words", "abelian", "numpy"}),
+        (COMPLEXITY_FACTOR, {"words", "abelian", "numpy"}),
         (SCAN, {"words", "scan", "numpy"}),
         (CONSTRUCT, {"calculus"}),
         (DELTA, {"calculus"}),
     ],
-    ids=["generate", "complexity", "scan", "construct", "delta"],
+    ids=["generate", "complexity", "complexity paperfolding", "complexity factor", "scan",
+         "construct", "delta"],
 )
 def test_each_command_imports_only_the_layers_it_calls(argv, layers):
     expected = {"antipow.cli", "antipow.instructions"}
@@ -92,10 +103,13 @@ def test_each_command_imports_only_the_layers_it_calls(argv, layers):
     "argv, imported",
     [
         (DELTA, False), (CONSTRUCT, False), (GENERATE, False), (GENERATE_THUE_MORSE, False),
-        (GENERATE_PAPERFOLDING, False), (COMPLEXITY, True), (SCAN, True),
+        (GENERATE_PAPERFOLDING, False), (COMPLEXITY, False), (COMPLEXITY_THUE_MORSE, False),
+        (COMPLEXITY_PAPERFOLDING, True), (COMPLEXITY_PREFIX, True), (COMPLEXITY_FACTOR, True),
+        (SCAN, True),
     ],
     ids=["delta", "construct", "generate", "generate thue-morse", "generate paperfolding",
-         "complexity", "scan"],
+         "complexity", "complexity thue-morse", "complexity paperfolding", "complexity prefix",
+         "complexity factor", "scan"],
 )
 def test_module_entry_point_imports_numpy_only_for_word_commands(argv, imported):
     proc = subprocess.run(
