@@ -16,7 +16,7 @@ _EXPORTS = {
         "complexity_table",
         "cyclic_shift_spectrum",
         "factor_complexity",
-        "infinite_abelian_table",
+        "infinite_complexity_table",
         "is_prefix_normal",
         "parikh",
         "parikh_prefix_table",

@@ -1,8 +1,9 @@
 """Parikh-vector machinery: abelian and factor complexity, prefix normality,
 block classing of power-of-two factors and their cyclic-shift spectra.
 
-The abelian complexity of the infinite Sierpinski and Thue–Morse words also
-has a closed form here, which reads no prefix; like `words`, the module
+The abelian complexity of the infinite Sierpinski and Thue–Morse words, and
+the factor complexity of Thue–Morse and of every paperfolding word, also
+have closed forms here, which read no prefix; like `words`, the module
 imports no numpy until a `FiniteWord` array is read.
 """
 
@@ -152,18 +153,44 @@ def _thue_morse_abelian(n: int) -> int:
     return 3 - n % 2
 
 
-# the abelian complexity a(n) of each infinite word that has a closed form
-_INFINITE_ABELIAN = {"sierpinski": _sierpinski_abelian, "thue-morse": _thue_morse_abelian}
+def _thue_morse_factor(n: int) -> int:
+    """Factor complexity p(n) of the infinite Thue–Morse word, n >= 1 (Brlek,
+    Discrete Appl. Math. 24, 1989): 2n for n <= 2; otherwise, with
+    n - 1 = 2^r + q and 0 <= q < 2^r, 3·2^r + 4q while q <= 2^(r-1) and
+    4·2^r + 2q after."""
+    if n <= 2:
+        return 2 * n
+    r = (n - 1).bit_length() - 1
+    q = n - 1 - (1 << r)
+    return 3 * (1 << r) + 4 * q if 2 * q <= 1 << r else 4 * (1 << r) + 2 * q
 
 
-def infinite_abelian_table(word: str, max_n: int) -> ComplexityTable | None:
-    """Abelian complexity table of the infinite word for n = 1..max_n, from
-    its closed form with no prefix; None for a word with none here (the
-    paperfolding words), whose table needs a prefix that holds every
-    factor."""
+def _paperfolding_factor(n: int) -> int:
+    """Factor complexity p(n) of every paperfolding word, n >= 1, whatever its
+    instructions: 2, 4, 8, 12, 18, 23, then 4n for n >= 7 (Allouche, Bull.
+    Austral. Math. Soc. 46, 1992)."""
+    return (2, 4, 8, 12, 18, 23)[n - 1] if n < 7 else 4 * n
+
+
+# the complexity of each infinite word, by kind, that has a closed form
+_INFINITE = {
+    ("sierpinski", "abelian"): _sierpinski_abelian,
+    ("thue-morse", "abelian"): _thue_morse_abelian,
+    ("thue-morse", "factor"): _thue_morse_factor,
+    ("paperfolding", "factor"): _paperfolding_factor,
+}
+
+
+def infinite_complexity_table(word: str, kind: str, max_n: int) -> ComplexityTable | None:
+    """Abelian or factor complexity table of the infinite word for
+    n = 1..max_n, from its closed form with no prefix; None where there is
+    none here (Sierpinski factor and paperfolding abelian tables), whose
+    table needs a prefix that holds every factor."""
+    if kind not in ("abelian", "factor"):
+        raise ValueError(f"unknown complexity kind {kind!r}")
     if max_n < 1:
         raise ValueError(f"max_n {max_n} must be >= 1")
-    value = _INFINITE_ABELIAN.get(word)
+    value = _INFINITE.get((word, kind))
     if value is None:
         return None
-    return ComplexityTable("abelian", tuple((n, value(n)) for n in range(1, max_n + 1)))
+    return ComplexityTable(kind, tuple((n, value(n)) for n in range(1, max_n + 1)))

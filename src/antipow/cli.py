@@ -98,11 +98,11 @@ def cmd_generate(args) -> int:
 
 
 def _complexity_word_length(word: str, max_n: int) -> int:
-    """The default prefix length of `complexity`: a closed form per word for
-    a prefix that holds every factor of length <= max_n of the infinite
-    word, so every value of the table is exact for the infinite word. An
-    abelian table from a closed form reads no prefix, but this length is
-    still its budget."""
+    """The cover of `complexity`: a closed form per word for a prefix length
+    that holds every factor of length <= max_n of the infinite word, so a
+    prefix at least this long has the infinite word's table. It is the
+    default prefix length, and the budget of a table from a closed form,
+    which reads no prefix."""
     if word == "sierpinski":
         # copies of the 3^k-letter prefix s_k are separated by runs of b of
         # length at least 3^k, so every factor of length n <= 3^k occurs in
@@ -128,17 +128,19 @@ def _complexity_word_length(word: str, max_n: int) -> int:
 def cmd_complexity(args) -> int:
     if args.max_n < 1:
         raise ValueError("--max-n must be >= 1")
-    length = args.length
-    if length is None:
-        length = _complexity_word_length(args.word, args.max_n)
+    cover = _complexity_word_length(args.word, args.max_n)
+    length = cover if args.length is None else args.length
     if args.max_n > length:
         raise ValueError("--max-n exceeds the generated prefix length")
+    _check_array_length(length)
     table = None
-    if args.length is None and args.kind == "abelian":
-        # a closed form is exact for the infinite word with no prefix; max_n
-        # keeps the budget of the prefix that would hold every factor
-        _check_array_length(length)
-        table = _cli.infinite_abelian_table(args.word, args.max_n)
+    if length >= cover:
+        # a prefix of at least `cover` letters has exactly the infinite
+        # word's factors of length <= max_n, so its table is the infinite
+        # word's: a closed form where there is one, else the shortest such
+        # prefix
+        table = _cli.infinite_complexity_table(args.word, args.kind, args.max_n)
+        length = cover
     if table is None:
         w = _build_word(args.word, args.instructions, length)
         table = _cli.complexity_table(w, args.kind, args.max_n)

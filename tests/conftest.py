@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from hypothesis import settings
+from hypothesis import settings, strategies as st
 
 from antipow import FiniteWord, InstructionSequence, toeplitz_paperfolding_prefix
 
@@ -17,6 +17,14 @@ from antipow import FiniteWord, InstructionSequence, toeplitz_paperfolding_prefi
 # keep the suite reproducible from run to run.
 settings.register_profile("antipow", deadline=None, derandomize=True, database=None)
 settings.load_profile("antipow")
+
+_signs = st.sampled_from((1, -1))
+# preperiod 0..3, period 1..4
+instruction_sequences = st.builds(
+    InstructionSequence,
+    st.lists(_signs, max_size=3).map(tuple),
+    st.lists(_signs, min_size=1, max_size=4).map(tuple),
+)
 
 _PREFIX_CACHE: dict[tuple[InstructionSequence, int], FiniteWord] = {}
 

@@ -14,7 +14,7 @@ from antipow import (
     complexity_table,
     cyclic_shift_spectrum,
     factor_complexity,
-    infinite_abelian_table,
+    infinite_complexity_table,
     is_prefix_normal,
     morphism_prefix,
     parikh,
@@ -23,7 +23,8 @@ from antipow import (
     sierpinski_prefix,
     toeplitz_paperfolding_prefix,
 )
-from conftest import thue_morse_factor_complexity
+from antipow.cli import _complexity_word_length
+from conftest import instruction_sequences, thue_morse_factor_complexity
 
 ABC = ("a", "b", "c")
 
@@ -149,7 +150,7 @@ def test_sierpinski_closed_form_matches_the_prefix_table():
     # the 3^8 prefix holds every factor of length <= 3^7
     max_n = 3**7
     expected = complexity_table(sierpinski_prefix(3**8), "abelian", max_n)
-    assert infinite_abelian_table("sierpinski", max_n) == expected
+    assert infinite_complexity_table("sierpinski", "abelian", max_n) == expected
 
 
 def test_thue_morse_closed_form_matches_the_prefix_table():
@@ -157,13 +158,34 @@ def test_thue_morse_closed_form_matches_the_prefix_table():
     max_n = 2**12
     expected = complexity_table(morphism_prefix(THUE_MORSE_MORPHISM, "0", 4 * max_n), "abelian",
                                 max_n)
-    assert infinite_abelian_table("thue-morse", max_n) == expected
+    assert infinite_complexity_table("thue-morse", "abelian", max_n) == expected
 
 
-def test_infinite_abelian_table_needs_a_closed_form():
-    assert infinite_abelian_table("paperfolding", 8) is None
+@settings(max_examples=60)
+@given(b=st.none() | instruction_sequences, max_n=st.integers(1, 300))
+@example(b=None, max_n=300)
+@example(b=REGULAR, max_n=300)
+def test_closed_form_factor_tables_equal_the_cover_prefix_tables(b, max_n):
+    # None draws Thue–Morse; the cover prefix holds every factor of length
+    # <= max_n, and the closed form reads none
+    if b is None:
+        word = "thue-morse"
+        prefix = morphism_prefix(THUE_MORSE_MORPHISM, "0", _complexity_word_length(word, max_n))
+    else:
+        word = "paperfolding"
+        prefix = toeplitz_paperfolding_prefix(b, _complexity_word_length(word, max_n))
+    expected = prefix._factor_counts(max_n).tolist()
+    table = infinite_complexity_table(word, "factor", max_n)
+    assert table == ComplexityTable("factor", tuple(zip(range(1, max_n + 1), expected)))
+
+
+def test_infinite_complexity_table_needs_a_closed_form():
+    assert infinite_complexity_table("paperfolding", "abelian", 8) is None
+    assert infinite_complexity_table("sierpinski", "factor", 8) is None
     with pytest.raises(ValueError):
-        infinite_abelian_table("sierpinski", 0)
+        infinite_complexity_table("sierpinski", "abelian", 0)
+    with pytest.raises(ValueError, match="unknown complexity kind"):
+        infinite_complexity_table("thue-morse", "weird", 8)
 
 
 def test_phi_u_block_classes():

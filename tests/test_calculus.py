@@ -30,7 +30,13 @@ from antipow import (
 )
 from antipow.calculus import SEED_SCAN_BOUND, _cell_ones, _shift_schedule
 from antipow.instructions import MAX_COMBINED_BITS
-from conftest import brute_delta, brute_delta_vector, brute_ones, materialized
+from conftest import (
+    brute_delta,
+    brute_delta_vector,
+    brute_ones,
+    instruction_sequences,
+    materialized,
+)
 
 ALT = InstructionSequence.parse("(-+)")
 
@@ -414,11 +420,6 @@ def _per_order_delta(b, a, n):
 
 
 _signs = st.sampled_from((1, -1))
-instruction_sequences = st.builds(
-    InstructionSequence,
-    st.lists(_signs, max_size=3).map(tuple),
-    st.lists(_signs, min_size=1, max_size=4).map(tuple),
-)
 
 
 @st.composite

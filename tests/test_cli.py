@@ -1,8 +1,11 @@
 import dataclasses
+import io
 import json
 import shlex
 import sys
+from contextlib import redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +19,7 @@ from antipow import (
     FiniteWord,
     InstructionSequence,
     abelian_complexity,
+    complexity_table,
     construct_antipower,
     factor_complexity,
     morphism_prefix,
@@ -25,7 +29,7 @@ from antipow import (
 )
 from antipow.cli import _ceil_log3, _complexity_word_length, main
 from antipow.instructions import _unlimited_int_digits
-from conftest import thue_morse_factor_complexity
+from conftest import instruction_sequences, thue_morse_factor_complexity
 
 REGULAR_32 = "00100110001101100010011100110110"
 
@@ -108,7 +112,8 @@ def _rows(out: str) -> dict[int, int]:
 
 
 def test_complexity_default_paperfolding_prefix_holds_every_factor(capsys):
-    # the default prefix has 7·2^12 = 28,672 letters; 16,384 letters miss
+    # the factor table is Allouche's closed form; the abelian one is made on
+    # the default prefix of 7·2^12 = 28,672 letters. 16,384 letters miss
     # factors from n = 2,143 on: at n = 2,434 they gave 8,964 factors and 8
     # abelian classes
     max_n = 2434
@@ -165,32 +170,40 @@ def test_default_paperfolding_prefixes_hold_every_factor(text):
     _assert_default_paperfolding_prefixes_cover(InstructionSequence.parse(text))
 
 
-_signs = st.sampled_from((1, -1))
-
-
 @settings(max_examples=30)
-@given(st.builds(
-    InstructionSequence,
-    st.lists(_signs, max_size=3).map(tuple),
-    st.lists(_signs, min_size=1, max_size=4).map(tuple),
-))
+@given(instruction_sequences)
 def test_default_paperfolding_prefixes_hold_every_factor_for_drawn_sequences(b):
     _assert_default_paperfolding_prefixes_cover(b)
 
 
-def test_complexity_default_prefix_over_the_budget_is_refused(capsys, no_generation):
+class _ClosedForm(Exception):
+    pass
+
+
+def test_complexity_default_prefix_over_the_budget_is_refused(capsys, monkeypatch, no_generation):
     # k = ceil(log2 max_n) = 29 gives 4·2^29 and 7·2^29 letters, over 2^31 - 1,
-    # for both kinds: abelian tables read no prefix but keep its budget. At
-    # k = 28 both closed forms fit, and a factor table reaches the generator
+    # for both kinds: closed-form tables read no prefix but keep its budget.
+    # At k = 28 both prefixes fit: a closed-form table is reached without
+    # writing its 2^28 rows, and a paperfolding abelian table, which has
+    # none, reaches the generator
+    infinite_table = antipow.cli.infinite_complexity_table
+
+    def intercepted(word, kind, max_n):
+        if infinite_table(word, kind, 1) is not None:
+            raise _ClosedForm(word, kind, max_n)
+        return None
+
+    monkeypatch.setattr("antipow.cli.infinite_complexity_table", intercepted)
     for argv, fits in ((("thue-morse",), 4 << 28), (("paperfolding", "(+)"), 7 << 28)):
         for kind in ("abelian", "factor"):
             code, out, err = run(capsys, "complexity", *argv, "--kind", kind,
                                  "--max-n", str(2**28 + 1))
             assert code == 2 and out == ""
             assert "exceeds the budget of 2147483647 letters" in err
-        with pytest.raises(_Generated) as exc:
-            run(capsys, "complexity", *argv, "--kind", "factor", "--max-n", str(2**28))
-        assert exc.value.args == (fits,)
+            reached = _Generated if argv[0] == "paperfolding" and kind == "abelian" else _ClosedForm
+            with pytest.raises(reached) as exc:
+                run(capsys, "complexity", *argv, "--kind", kind, "--max-n", str(2**28))
+            assert exc.value.args == ((fits,) if reached is _Generated else (argv[0], kind, 2**28))
 
 
 @pytest.mark.parametrize("word", ["sierpinski", "thue-morse"])
@@ -201,8 +214,9 @@ def test_complexity_default_abelian_table_generates_no_word(capsys, no_generatio
 
 @pytest.mark.parametrize("kind", ["factor", "abelian"])
 def test_complexity_default_prefix_gets_one_factor_pass_each(capsys, monkeypatch, kind):
-    # a factor query sorts its one closed-form prefix once; an abelian query
-    # builds no factor table
+    # a Sierpinski factor query sorts its one cover prefix once; a
+    # paperfolding one reads its closed form, and an abelian query builds no
+    # factor table
     lengths = []
     factor_counts = FiniteWord._factor_counts
 
@@ -211,23 +225,72 @@ def test_complexity_default_prefix_gets_one_factor_pass_each(capsys, monkeypatch
         return factor_counts(w, max_n)
 
     monkeypatch.setattr(FiniteWord, "_factor_counts", counted)
-    code, out, _ = run(capsys, "complexity", "paperfolding", "(+)", "--kind", kind,
-                       "--max-n", "2434")
-    assert code == 0 and len(_rows(out)) == 2434
-    assert lengths == ([7 << 12] if kind == "factor" else [])
+    for argv, max_n, passes in ((("paperfolding", "(+)"), 2434, []),
+                                (("sierpinski",), 729, [3**7])):
+        code, out, _ = run(capsys, "complexity", *argv, "--kind", kind, "--max-n", str(max_n))
+        assert code == 0 and len(_rows(out)) == max_n
+        assert lengths == (passes if kind == "factor" else []), argv
+        lengths.clear()
+
+
+def _prefix(word: str, b: InstructionSequence | None, length: int) -> FiniteWord:
+    if word == "sierpinski":
+        return sierpinski_prefix(length)
+    if word == "thue-morse":
+        return morphism_prefix(THUE_MORSE_MORPHISM, "0", length)
+    return toeplitz_paperfolding_prefix(b, length)
+
+
+def _formatted(table, fmt: str) -> str:
+    """What `complexity --format fmt` prints for the table."""
+    if fmt == "csv":
+        return table.to_csv()
+    return "".join(json.dumps({"n": n, "value": v}) + "\n" for n, v in table.rows)
 
 
 @pytest.mark.parametrize("word", ["sierpinski", "thue-morse"])
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_complexity_default_abelian_table_equals_the_prefix_table(capsys, word, fmt):
-    # the default table reads no prefix; given the default prefix length, the
-    # same query takes the finite-prefix path
+    # the default table reads no prefix; it equals the table made on the
+    # default prefix, which holds every factor of length <= max_n
     for max_n in (1, 2, 3, 4, 27, 28, 243, 244, 64, 65, 512, 513):
-        query = ("complexity", word, "--max-n", str(max_n), "--format", fmt)
-        code, out, _ = run(capsys, *query)
-        length = _complexity_word_length(word, max_n)
+        code, out, _ = run(capsys, "complexity", word, "--max-n", str(max_n), "--format", fmt)
+        prefix = _prefix(word, None, _complexity_word_length(word, max_n))
         assert code == 0 and len(out.splitlines()) == max_n + (fmt == "csv")
-        assert run(capsys, *query, "--length", str(length)) == (0, out, ""), max_n
+        assert out == _formatted(complexity_table(prefix, "abelian", max_n), fmt), max_n
+
+
+# the (word, kind) pairs with a closed form for the infinite word
+_CLOSED_FORMS = {("sierpinski", "abelian"), ("thue-morse", "abelian"),
+                 ("thue-morse", "factor"), ("paperfolding", "factor")}
+
+
+@settings(max_examples=60)
+@given(
+    word=st.sampled_from(("sierpinski", "thue-morse", "paperfolding")),
+    b=instruction_sequences,
+    kind=st.sampled_from(("abelian", "factor")),
+    fmt=st.sampled_from(("csv", "json")),
+    max_n=st.integers(1, 200),
+    extra=st.integers(0, 2000),
+)
+def test_complexity_from_a_prefix_that_holds_every_factor_equals_its_table(
+    word, b, kind, fmt, max_n, extra
+):
+    # from L >= cover letters on, the table is the infinite word's: a closed
+    # form with no prefix, else the table of the cover prefix alone
+    cover = _complexity_word_length(word, max_n)
+    length = cover + extra
+    # after "--", an instruction string that starts with "-" is positional
+    argv = ["complexity", "--kind", kind, "--max-n", str(max_n), "--length", str(length),
+            "--format", fmt, "--", word, *([str(b)] if word == "paperfolding" else [])]
+    build = mock.patch.object(antipow.cli, "_build_word", wraps=antipow.cli._build_word)
+    with build as built, redirect_stdout(io.StringIO()) as out:
+        assert main(argv) == 0
+    expected = complexity_table(_prefix(word, b, length), kind, max_n)
+    assert out.getvalue() == _formatted(expected, fmt)
+    lengths = [call.args[2] for call in built.call_args_list]
+    assert lengths == ([] if (word, kind) in _CLOSED_FORMS else [cover])
 
 
 def test_complexity_json_format(capsys):

@@ -1,9 +1,10 @@
 """The package's public names load on first use, and `antipow.cli` reads
 them through the package's loader, so each command imports only the layers
 it calls: the big-integer commands (`construct`, `delta`) load no word layer,
-`generate` and a default abelian Sierpinski or Thue–Morse `complexity`
-table load no numpy, and `complexity` on a prefix and `scan` load numpy but
-not each other's layer or `calculus`."""
+`generate` and a `complexity` table read from a closed form (abelian for
+Sierpinski and Thue–Morse, factor for Thue–Morse and paperfolding, on a
+prefix that holds every factor) load no numpy, and `complexity` on a prefix
+and `scan` load numpy but not each other's layer or `calculus`."""
 
 import os
 import subprocess
@@ -25,8 +26,13 @@ GENERATE_PAPERFOLDING = ["generate", "paperfolding", "(+)", "--length", "8"]
 COMPLEXITY = ["complexity", "sierpinski", "--max-n", "3"]
 COMPLEXITY_THUE_MORSE = ["complexity", "thue-morse", "--max-n", "3"]
 COMPLEXITY_PAPERFOLDING = ["complexity", "paperfolding", "(+)", "--max-n", "3"]
-COMPLEXITY_PREFIX = ["complexity", "sierpinski", "--max-n", "3", "--length", "9"]
+# 8 letters are below the 9-letter prefix that holds every factor of length <= 3
+COMPLEXITY_PREFIX = ["complexity", "sierpinski", "--max-n", "3", "--length", "8"]
 COMPLEXITY_FACTOR = ["complexity", "sierpinski", "--max-n", "3", "--kind", "factor"]
+COMPLEXITY_FACTOR_THUE_MORSE = ["complexity", "thue-morse", "--kind", "factor", "--max-n", "256",
+                                "--length", "65536"]
+COMPLEXITY_FACTOR_PAPERFOLDING = ["complexity", "paperfolding", "(+)", "--kind", "factor",
+                                  "--max-n", "64"]
 SCAN = ["scan", "sierpinski", "--length", "27", "--order", "3", "--kind", "antipower"]
 
 # what `from antipow import *` bound when every layer was imported eagerly
@@ -39,7 +45,7 @@ PUBLIC_NAMES = [
     "calculus", "characterize_split", "choose_r", "classify_block", "complexity_table",
     "construct_antipower", "cyclic_shift_spectrum", "delta_interval", "delta_vector",
     "differing_orders", "e_vector", "epsilon", "factor_complexity", "find_first",
-    "find_seed_block", "infinite_abelian_table", "is_prefix_normal", "morphism_prefix",
+    "find_seed_block", "infinite_complexity_table", "is_prefix_normal", "morphism_prefix",
     "ones_of_order_in_interval", "ones_upto", "order_decompose", "order_shift_check",
     "paperfolding_letter", "parikh", "parikh_prefix_table", "phi_u", "scan", "sierpinski_prefix",
     "toeplitz_paperfolding_prefix", "verify_certificate", "words",
@@ -86,12 +92,15 @@ def test_numpy_is_imported_only_by_the_word_layers(code, imported):
         (COMPLEXITY, {"words", "abelian"}),
         (COMPLEXITY_PAPERFOLDING, {"words", "abelian", "numpy"}),
         (COMPLEXITY_FACTOR, {"words", "abelian", "numpy"}),
+        (COMPLEXITY_FACTOR_THUE_MORSE, {"words", "abelian"}),
+        (COMPLEXITY_FACTOR_PAPERFOLDING, {"words", "abelian"}),
         (SCAN, {"words", "scan", "numpy"}),
         (CONSTRUCT, {"calculus"}),
         (DELTA, {"calculus"}),
     ],
-    ids=["generate", "complexity", "complexity paperfolding", "complexity factor", "scan",
-         "construct", "delta"],
+    ids=["generate", "complexity", "complexity paperfolding", "complexity factor",
+         "complexity factor thue-morse", "complexity factor paperfolding", "scan", "construct",
+         "delta"],
 )
 def test_each_command_imports_only_the_layers_it_calls(argv, layers):
     expected = {"antipow.cli", "antipow.instructions"}
@@ -105,11 +114,12 @@ def test_each_command_imports_only_the_layers_it_calls(argv, layers):
         (DELTA, False), (CONSTRUCT, False), (GENERATE, False), (GENERATE_THUE_MORSE, False),
         (GENERATE_PAPERFOLDING, False), (COMPLEXITY, False), (COMPLEXITY_THUE_MORSE, False),
         (COMPLEXITY_PAPERFOLDING, True), (COMPLEXITY_PREFIX, True), (COMPLEXITY_FACTOR, True),
-        (SCAN, True),
+        (COMPLEXITY_FACTOR_THUE_MORSE, False), (COMPLEXITY_FACTOR_PAPERFOLDING, False), (SCAN, True),
     ],
     ids=["delta", "construct", "generate", "generate thue-morse", "generate paperfolding",
          "complexity", "complexity thue-morse", "complexity paperfolding", "complexity prefix",
-         "complexity factor", "scan"],
+         "complexity factor", "complexity factor thue-morse", "complexity factor paperfolding",
+         "scan"],
 )
 def test_module_entry_point_imports_numpy_only_for_word_commands(argv, imported):
     proc = subprocess.run(
