@@ -27,7 +27,7 @@ from antipow import (
     toeplitz_paperfolding_prefix,
     verify_certificate,
 )
-from antipow.cli import _ceil_log3, _complexity_word_length, main
+from antipow.cli import _build_word, _ceil_log3, _complexity_word_length, main
 from antipow.instructions import _unlimited_int_digits
 from conftest import instruction_sequences, thue_morse_factor_complexity
 
@@ -233,14 +233,6 @@ def test_complexity_default_prefix_gets_one_factor_pass_each(capsys, monkeypatch
         lengths.clear()
 
 
-def _prefix(word: str, b: InstructionSequence | None, length: int) -> FiniteWord:
-    if word == "sierpinski":
-        return sierpinski_prefix(length)
-    if word == "thue-morse":
-        return morphism_prefix(THUE_MORSE_MORPHISM, "0", length)
-    return toeplitz_paperfolding_prefix(b, length)
-
-
 def _formatted(table, fmt: str) -> str:
     """What `complexity --format fmt` prints for the table."""
     if fmt == "csv":
@@ -255,14 +247,9 @@ def test_complexity_default_abelian_table_equals_the_prefix_table(capsys, word, 
     # default prefix, which holds every factor of length <= max_n
     for max_n in (1, 2, 3, 4, 27, 28, 243, 244, 64, 65, 512, 513):
         code, out, _ = run(capsys, "complexity", word, "--max-n", str(max_n), "--format", fmt)
-        prefix = _prefix(word, None, _complexity_word_length(word, max_n))
+        prefix = _build_word(word, None, _complexity_word_length(word, max_n))
         assert code == 0 and len(out.splitlines()) == max_n + (fmt == "csv")
         assert out == _formatted(complexity_table(prefix, "abelian", max_n), fmt), max_n
-
-
-# the (word, kind) pairs with a closed form for the infinite word
-_CLOSED_FORMS = {("sierpinski", "abelian"), ("thue-morse", "abelian"),
-                 ("thue-morse", "factor"), ("paperfolding", "factor")}
 
 
 @settings(max_examples=60)
@@ -277,8 +264,9 @@ _CLOSED_FORMS = {("sierpinski", "abelian"), ("thue-morse", "abelian"),
 def test_complexity_from_a_prefix_that_holds_every_factor_equals_its_table(
     word, b, kind, fmt, max_n, extra
 ):
-    # from L >= cover letters on, the table is the infinite word's: a closed
-    # form with no prefix, else the table of the cover prefix alone
+    # from L >= cover letters on, a factor table is the infinite word's: a
+    # closed form with no prefix, else the table of the cover prefix alone.
+    # An abelian table with --length is counted on the L-letter prefix
     cover = _complexity_word_length(word, max_n)
     length = cover + extra
     # after "--", an instruction string that starts with "-" is positional
@@ -287,10 +275,14 @@ def test_complexity_from_a_prefix_that_holds_every_factor_equals_its_table(
     build = mock.patch.object(antipow.cli, "_build_word", wraps=antipow.cli._build_word)
     with build as built, redirect_stdout(io.StringIO()) as out:
         assert main(argv) == 0
-    expected = complexity_table(_prefix(word, b, length), kind, max_n)
+    expected = complexity_table(_build_word(word, b, length), kind, max_n)
     assert out.getvalue() == _formatted(expected, fmt)
     lengths = [call.args[2] for call in built.call_args_list]
-    assert lengths == ([] if (word, kind) in _CLOSED_FORMS else [cover])
+    if kind == "abelian":
+        assert lengths == [length]
+    else:
+        closed_form = antipow.cli.infinite_complexity_table(word, kind, 1) is not None
+        assert lengths == ([] if closed_form else [cover])
 
 
 def test_complexity_json_format(capsys):

@@ -2,8 +2,8 @@
 them through the package's loader, so each command imports only the layers
 it calls: the big-integer commands (`construct`, `delta`) load no word layer,
 `generate` and a `complexity` table read from a closed form (abelian for
-Sierpinski and Thue–Morse, factor for Thue–Morse and paperfolding, on a
-prefix that holds every factor) load no numpy, and `complexity` on a prefix
+Sierpinski and Thue–Morse without `--length`, factor for Thue–Morse and
+paperfolding without one or with one that holds every factor) load no numpy, and `complexity` on a prefix
 and `scan` load numpy but not each other's layer or `calculus`."""
 
 import os
