@@ -3,8 +3,12 @@ block classing of power-of-two factors and their cyclic-shift spectra.
 
 The abelian complexity of the infinite Sierpinski and Thue–Morse words, and
 the factor complexity of Thue–Morse and of every paperfolding word, also
-have closed forms here, which read no prefix; like `words`, the module
-imports no numpy until a `FiniteWord` array is read.
+have closed forms here, which read no prefix. The abelian table of a binary
+prefix follows one bitset of starts per live one-count from each n to the
+next, in Python ints. Like `words`, the module imports no numpy until a
+`FiniteWord` array is read: factor tables, abelian tables over three or
+more letters and the single-n functions (`abelian_complexity`,
+`factor_complexity`) read one.
 """
 
 from __future__ import annotations
@@ -115,16 +119,62 @@ class ComplexityTable:
 
 
 def complexity_table(w: FiniteWord, kind: str, max_n: int) -> ComplexityTable:
-    """Table of abelian or factor complexity of w for n = 1..max_n."""
+    """Table of abelian or factor complexity of w for n = 1..max_n. A factor
+    table comes from one sort of w. An abelian table over two letters steps
+    the bitsets of `_binary_abelian_counts` from n to n + 1, with no numpy;
+    over other alphabets it ranks the Parikh vectors of every window, one
+    pass per n."""
     if kind not in ("abelian", "factor"):
         raise ValueError(f"unknown complexity kind {kind!r}")
     if not 1 <= max_n <= len(w):
         raise ValueError(f"max_n {max_n} out of range 1..{len(w)}")
     if kind == "factor":
         values = w._factor_counts(max_n).tolist()
+    elif len(w.alphabet) == 2:
+        values = _binary_abelian_counts(w.data, max_n)
     else:
         values = [abelian_complexity(w, n) for n in range(1, max_n + 1)]
     return ComplexityTable(kind, tuple(zip(range(1, max_n + 1), values)))
+
+
+# letter indices 0 and 1 as the base-2 digits "0" and "1"
+_BINARY_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _binary_abelian_counts(data: bytes, max_n: int) -> list[int]:
+    """Abelian complexity a(n), n = 1..max_n, of a word over two letters,
+    given as letter indices 0 and 1, with no numpy and no pass per n.
+
+    Bit i of `ones` (of `zeros`) is set when letter i is 1 (is 0). Level c
+    is the bitset of the starts i whose window (i, n) holds c ones, and
+    levels[0] has the smallest such c. The window (i, n + 1) adds letter
+    i + n, so a start stays on its level where that letter is 0 and moves
+    up one where it is 1: zeros >> n and ones >> n select them, and hold no
+    start past L - n - 1, the last one of length n + 1, for L = len(data).
+    The one-counts of the windows of one length fill an interval, since
+    successive windows differ by at most one, so no empty level lies between
+    live ones, and a(n) is the number of live levels. Each step costs a(n)
+    word-parallel operations on L - n bits."""
+    ones = int(data.translate(_BINARY_DIGITS)[::-1], 2)
+    zeros = ones ^ ((1 << len(data)) - 1)
+    levels = [level for level in (zeros, ones) if level]
+    counts = [len(levels)]
+    for n in range(1, max_n):
+        stay, move = zeros >> n, ones >> n
+        low = levels[0]
+        grown = [low & stay]
+        for high in levels[1:]:
+            grown.append(high & stay | low & move)
+            low = high
+        grown.append(low & move)
+        # the lowest one-count rises by at most one, and so does the highest
+        if not grown[-1]:
+            grown.pop()
+        if not grown[0]:
+            del grown[0]
+        levels = grown
+        counts.append(len(levels))
+    return counts
 
 
 def _sierpinski_abelian(n: int) -> int:

@@ -137,9 +137,9 @@ def cmd_complexity(args) -> int:
     # a prefix of at least `cover` letters has exactly the infinite word's
     # factors of length <= max_n, so its table is the infinite word's: a
     # closed form where there is one, else the shortest such prefix. An
-    # abelian table with a given --length is still counted on that prefix,
-    # the window-counting path that the benchmark's traced smoke query of
-    # `tables` measures (bench/test_smoke.py)
+    # abelian table with a given --length is still made on that prefix by
+    # `complexity_table`, whose windows the benchmark's traced smoke query
+    # of `tables` counts (bench/test_smoke.py)
     if length >= cover and (args.length is None or args.kind == "factor"):
         table = _cli.infinite_complexity_table(args.word, args.kind, args.max_n)
         length = cover

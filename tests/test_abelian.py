@@ -278,6 +278,35 @@ def test_complexities_match_sets_of_factors(case):
 
 
 @st.composite
+def binary_words_and_table_sizes(draw):
+    data = bytes(draw(st.lists(st.integers(0, 1), min_size=1, max_size=300)))
+    return FiniteWord(("a", "b"), data), draw(st.integers(1, len(data)))
+
+
+@settings(max_examples=200)
+@given(case=binary_words_and_table_sizes())
+@example(case=(FiniteWord(("a", "b"), b"\x00"), 1))
+@example(case=(FiniteWord(("a", "b"), b"\x01"), 1))
+@example(case=(FiniteWord(("a", "b"), b"\x01\x00"), 2))
+@example(case=(FiniteWord(("a", "b"), b"\x00" * 300), 300))
+@example(case=(FiniteWord(("a", "b"), b"\x01" * 300), 300))
+@example(case=(FiniteWord(("a", "b"), bytes(i % 2 for i in range(300))), 300))
+def test_binary_abelian_table_equals_the_per_n_complexities(case):
+    # the bitset steps from n to n + 1 against one pass over the windows per
+    # n, for every max_n up to len(w), including words that use one letter
+    w, max_n = case
+    expected = tuple((n, abelian_complexity(w, n)) for n in range(1, max_n + 1))
+    assert complexity_table(w, "abelian", max_n).rows == expected
+
+
+def test_abelian_table_over_three_letters_ranks_the_windows_per_n():
+    # only two-letter tables take the bitset path, which reads no letter 2
+    w = FiniteWord.from_text("abcacbbaccab" * 5, ABC)
+    table = complexity_table(w, "abelian", len(w))
+    assert table.rows == tuple((n, abelian_complexity(w, n)) for n in range(1, len(w) + 1))
+
+
+@st.composite
 def words_and_table_sizes(draw):
     w, n = draw(words_and_lengths(max_len=120))
     powers = [1 << j for j in range(len(w).bit_length()) if 1 << j <= len(w)]

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import io
 import json
 import shlex
@@ -283,6 +284,15 @@ def test_complexity_from_a_prefix_that_holds_every_factor_equals_its_table(
     else:
         closed_form = antipow.cli.infinite_complexity_table(word, kind, 1) is not None
         assert lengths == ([] if closed_form else [cover])
+
+
+def test_complexity_thue_morse_length_table_matches_the_benchmark_pin(capsys):
+    # the benchmark's abelian --length query of `tables`, with its stdout pin
+    code, out, _ = run(capsys, "complexity", "thue-morse", "--max-n", "10000", "--length", "16384")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "9f13bbd65e59f9f9e46ca9b9301af8d541d231ca86cfce9a39ff06ff45b6a1b1"
+    )
 
 
 def test_complexity_json_format(capsys):

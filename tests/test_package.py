@@ -1,10 +1,12 @@
 """The package's public names load on first use, and `antipow.cli` reads
 them through the package's loader, so each command imports only the layers
-it calls: the big-integer commands (`construct`, `delta`) load no word layer,
-`generate` and a `complexity` table read from a closed form (abelian for
-Sierpinski and Thue–Morse without `--length`, factor for Thue–Morse and
-paperfolding without one or with one that holds every factor) load no numpy, and `complexity` on a prefix
-and `scan` load numpy but not each other's layer or `calculus`."""
+it calls. The big-integer commands (`construct`, `delta`) load no word
+layer. `generate`, every abelian `complexity` table of a binary word (from a
+closed form, or on a prefix, with or without `--length`) and the factor
+tables read from a closed form (Thue–Morse and paperfolding without
+`--length` or with one that holds every factor) load no numpy. Factor
+tables on a prefix and `scan` load numpy, but not each other's layer or
+`calculus`."""
 
 import os
 import subprocess
@@ -33,6 +35,8 @@ COMPLEXITY_FACTOR_THUE_MORSE = ["complexity", "thue-morse", "--kind", "factor", 
                                 "--length", "65536"]
 COMPLEXITY_FACTOR_PAPERFOLDING = ["complexity", "paperfolding", "(+)", "--kind", "factor",
                                   "--max-n", "64"]
+# the benchmark's abelian table on a 2^14-letter prefix
+COMPLEXITY_LENGTH_THUE_MORSE = ["complexity", "thue-morse", "--max-n", "10000", "--length", "16384"]
 SCAN = ["scan", "sierpinski", "--length", "27", "--order", "3", "--kind", "antipower"]
 
 # what `from antipow import *` bound when every layer was imported eagerly
@@ -76,10 +80,13 @@ def main_code(argv: list[str]) -> str:
         (main_code(CONSTRUCT), False),
         (main_code(GENERATE), False),
         (main_code(COMPLEXITY_THUE_MORSE), False),
-        (main_code(COMPLEXITY_PAPERFOLDING), True),
+        (main_code(COMPLEXITY_PAPERFOLDING), False),
+        (main_code(COMPLEXITY_LENGTH_THUE_MORSE), False),
+        (main_code(COMPLEXITY_FACTOR), True),
     ],
     ids=["import", "import cli", "instructions", "main delta", "main construct", "main generate",
-         "main complexity", "main complexity paperfolding"],
+         "main complexity", "main complexity paperfolding", "main complexity thue-morse length",
+         "main complexity factor"],
 )
 def test_numpy_is_imported_only_by_the_word_layers(code, imported):
     assert ("numpy" in modules_after(code)) is imported
@@ -90,7 +97,8 @@ def test_numpy_is_imported_only_by_the_word_layers(code, imported):
     [
         (GENERATE_PAPERFOLDING, {"words"}),
         (COMPLEXITY, {"words", "abelian"}),
-        (COMPLEXITY_PAPERFOLDING, {"words", "abelian", "numpy"}),
+        (COMPLEXITY_PAPERFOLDING, {"words", "abelian"}),
+        (COMPLEXITY_LENGTH_THUE_MORSE, {"words", "abelian"}),
         (COMPLEXITY_FACTOR, {"words", "abelian", "numpy"}),
         (COMPLEXITY_FACTOR_THUE_MORSE, {"words", "abelian"}),
         (COMPLEXITY_FACTOR_PAPERFOLDING, {"words", "abelian"}),
@@ -98,9 +106,9 @@ def test_numpy_is_imported_only_by_the_word_layers(code, imported):
         (CONSTRUCT, {"calculus"}),
         (DELTA, {"calculus"}),
     ],
-    ids=["generate", "complexity", "complexity paperfolding", "complexity factor",
-         "complexity factor thue-morse", "complexity factor paperfolding", "scan", "construct",
-         "delta"],
+    ids=["generate", "complexity", "complexity paperfolding", "complexity thue-morse length",
+         "complexity factor", "complexity factor thue-morse", "complexity factor paperfolding",
+         "scan", "construct", "delta"],
 )
 def test_each_command_imports_only_the_layers_it_calls(argv, layers):
     expected = {"antipow.cli", "antipow.instructions"}
@@ -113,13 +121,14 @@ def test_each_command_imports_only_the_layers_it_calls(argv, layers):
     [
         (DELTA, False), (CONSTRUCT, False), (GENERATE, False), (GENERATE_THUE_MORSE, False),
         (GENERATE_PAPERFOLDING, False), (COMPLEXITY, False), (COMPLEXITY_THUE_MORSE, False),
-        (COMPLEXITY_PAPERFOLDING, True), (COMPLEXITY_PREFIX, True), (COMPLEXITY_FACTOR, True),
+        (COMPLEXITY_PAPERFOLDING, False), (COMPLEXITY_PREFIX, False),
+        (COMPLEXITY_LENGTH_THUE_MORSE, False), (COMPLEXITY_FACTOR, True),
         (COMPLEXITY_FACTOR_THUE_MORSE, False), (COMPLEXITY_FACTOR_PAPERFOLDING, False), (SCAN, True),
     ],
     ids=["delta", "construct", "generate", "generate thue-morse", "generate paperfolding",
          "complexity", "complexity thue-morse", "complexity paperfolding", "complexity prefix",
-         "complexity factor", "complexity factor thue-morse", "complexity factor paperfolding",
-         "scan"],
+         "complexity thue-morse length", "complexity factor", "complexity factor thue-morse",
+         "complexity factor paperfolding", "scan"],
 )
 def test_module_entry_point_imports_numpy_only_for_word_commands(argv, imported):
     proc = subprocess.run(
