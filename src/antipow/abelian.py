@@ -131,32 +131,28 @@ def complexity_table(w: FiniteWord, kind: str, max_n: int) -> ComplexityTable:
     if kind == "factor":
         values = w._factor_counts(max_n).tolist()
     elif len(w.alphabet) == 2:
-        values = _binary_abelian_counts(w.data, max_n)
+        values = _binary_abelian_counts(w, max_n)
     else:
         values = [abelian_complexity(w, n) for n in range(1, max_n + 1)]
     return ComplexityTable(kind, tuple(zip(range(1, max_n + 1), values)))
 
 
-# letter indices 0 and 1 as the base-2 digits "0" and "1"
-_BINARY_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
-
-
-def _binary_abelian_counts(data: bytes, max_n: int) -> list[int]:
+def _binary_abelian_counts(w: FiniteWord, max_n: int) -> list[int]:
     """Abelian complexity a(n), n = 1..max_n, of a word over two letters,
-    given as letter indices 0 and 1, with no numpy and no pass per n.
+    with no numpy and no pass per n.
 
-    Bit i of `ones` (of `zeros`) is set when letter i is 1 (is 0). Level c
-    is the bitset of the starts i whose window (i, n) holds c ones, and
-    levels[0] has the smallest such c. The window (i, n + 1) adds letter
-    i + n, so a start stays on its level where that letter is 0 and moves
-    up one where it is 1: zeros >> n and ones >> n select them, and hold no
-    start past L - n - 1, the last one of length n + 1, for L = len(data).
+    `zeros` and `ones` are the word's `letter_bits`: bit i is set when
+    letter i is 0 (is 1). Level c is the bitset of the starts i whose window
+    (i, n) holds c ones, and levels[0] has the smallest such c. The window
+    (i, n + 1) adds letter i + n, so a start stays on its level where that
+    letter is 0 and moves up one where it is 1: zeros >> n and ones >> n
+    select them, and hold no start past L - n - 1, the last one of length
+    n + 1, for L = len(w).
     The one-counts of the windows of one length fill an interval, since
     successive windows differ by at most one, so no empty level lies between
     live ones, and a(n) is the number of live levels. Each step costs a(n)
     word-parallel operations on L - n bits."""
-    ones = int(data.translate(_BINARY_DIGITS)[::-1], 2)
-    zeros = ones ^ ((1 << len(data)) - 1)
+    zeros, ones = w.letter_bits
     levels = [level for level in (zeros, ones) if level]
     counts = [len(levels)]
     for n in range(1, max_n):

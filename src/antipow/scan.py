@@ -1,18 +1,20 @@
 """Exhaustive detection of powers, abelian powers, antipowers and abelian
 antipowers in finite words.
 
-The block scans are vectorized per cell width d. One boolean mask says, for
-every position p, whether the length-d factor at p equals the one at p+d, as
-words or as Parikh vectors (`FiniteWord.next_cell_equal`: rank-doubling
-classes or one-counts, exact, with no probabilistic hashing). Equality is
-transitive, so a split is an m-power exactly when the mask holds at its
-m-1 adjacent-cell positions; shifted ANDs that double the run length give
-that for every start at once. An m-antipower needs the negated mask there
-too, and only the starts that survive it are compared on the farther cell
-pairs, through the exact keys `FiniteWord.factor_keys` and
-`FiniteWord.abelian_keys`. `find_first` takes the widths in ascending order
-and looks, for each width, only at starts before its best hit so far; a hit
-at the first position ends the search. A hit is the first within the given
+The block scans work on Python ints, one bitset per width and cell distance,
+with bit p for the start p; they import no numpy. Word equality at distance
+s holds where `FiniteWord.letter_bits` agree: `OR_a X_a & (X_a >> s)` over
+the letters a, so the length-d factors at p and p + s are equal where that
+mask has a run of d ones, found by doubling ANDs. Abelian equality compares
+window counts held bit-sliced, one bitset per bit of the count, for each
+letter but the last; they step from d to d + 1 by a ripple-carry add, and
+two windows at distance s are equal where no plane differs from its own
+shift by s. Equality is transitive, so a split is an m-power exactly when
+its m - 1 adjacent cells are equal. An m-antipower needs cells i and
+i + gap to differ for every gap, and the gaps past the first cut only the
+starts that survive it. `find_first` takes the widths in ascending order and
+looks, for each width, only at starts before its best hit so far; a hit at
+the first position ends the search. A hit is the first within the given
 prefix: a longer prefix may hold an earlier start with a wider cell.
 """
 
@@ -20,8 +22,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-
-import numpy as np
+from functools import partial
+from itertools import count
+from typing import Callable, Iterator
 
 from .words import FiniteWord
 
@@ -89,38 +92,93 @@ def classify_block(w: FiniteWord, split: BlockSplit) -> ClassifyResult:
     )
 
 
-def _and_along(mask: np.ndarray, d: int, count: int) -> np.ndarray:
-    """out[p] = mask[p] & mask[p+d] & ... & mask[p+(count-1)d] for every p
-    that fits. Runs of 2^k terms double until 2^k <= count < 2^(k+1); two
-    overlapping runs of 2^k then cover count terms, since AND is idempotent."""
+def _and_along(mask: int, stride: int, terms: int) -> int:
+    """Bit p of the result is set when bits p, p + stride, ...,
+    p + (terms - 1) stride of mask all are; with stride 1, where mask has a
+    run of that many ones from p. Runs of 2^k terms double until
+    2^k <= terms < 2^(k+1); two overlapping runs of 2^k then cover them
+    all, since AND is idempotent."""
     span = 1
-    while 2 * span <= count:
-        mask = mask[: len(mask) - span * d] & mask[span * d :]
+    while 2 * span <= terms:
+        mask &= mask >> span * stride
         span *= 2
-    if span < count:
-        shift = (count - span) * d
-        mask = mask[: len(mask) - shift] & mask[shift:]
+    if span < terms:
+        mask &= mask >> (terms - span) * stride
     return mask
 
 
-def _hit_starts(w: FiniteWord, d: int, m: int, kind: str, stop: int | None = None) -> np.ndarray:
-    """Ascending 0-based starts below stop (all that fit when None) of the
-    m-cell splits of width d of the requested kind."""
-    starts = len(w) - m * d + 1
+def _window_counts(letter: int) -> Iterator[tuple[int, ...]]:
+    """For d = 1, 2, ...: the bit planes of the number of set bits of letter
+    in each length-d window, bit p of plane b being bit b of the count over
+    bits p..p+d-1. A window that runs past the top set bit counts what it
+    holds. The counts step from d to d + 1 by a ripple-carry add of
+    letter >> d."""
+    planes: list[int] = []
+    for d in count():
+        carry = letter >> d
+        for b, plane in enumerate(planes):
+            planes[b], carry = plane ^ carry, plane & carry
+            if not carry:
+                break
+        if carry:
+            planes.append(carry)
+        yield tuple(planes)
+
+
+def _word_same(letters: tuple[int, ...], d: int, shift: int) -> int:
+    """Starts p whose length-d factors at p and p + shift both fit and are
+    equal: the runs of d ones in the mask of letters that agree at that
+    distance."""
+    agree = 0
+    for letter in letters:
+        agree |= letter & letter >> shift
+    return _and_along(agree, 1, d)
+
+
+def _abelian_same(planes: tuple[int, ...], windows: int, shift: int) -> int:
+    """Starts p, among the first windows - shift, whose windows at p and
+    p + shift have the same count in every plane."""
+    differ = 0
+    for plane in planes:
+        differ |= plane ^ plane >> shift
+    return ~differ & (1 << windows - shift) - 1
+
+
+def _cell_equality(w: FiniteWord, abelian: bool) -> Iterator[Callable[[int], int]]:
+    """For d = 1, 2, ...: a function of a distance s that gives the bitset of
+    the starts p whose length-d factors at p and p + s both fit and are
+    equal, as words or, with abelian set, as Parikh vectors."""
+    letters = w.letter_bits
+    if not abelian:
+        for d in count(1):
+            yield partial(_word_same, letters, d)
+    # the window length fixes the count of the last letter
+    counts = [_window_counts(letter) for letter in letters[:-1]]
+    for d in count(1):
+        planes = tuple(plane for letter in counts for plane in next(letter))
+        yield partial(_abelian_same, planes, len(w) - d + 1)
+
+
+def _hit_starts(
+    same: Callable[[int], int], size: int, d: int, m: int, kind: str, stop: int | None = None
+) -> int:
+    """Bitset of the 0-based starts below stop (all that fit when None) of
+    the m-cell splits of width d of the requested kind, in a word of size
+    letters whose width-d cell equality is `same`."""
+    starts = size - m * d + 1
     if stop is not None:
         starts = min(starts, stop)
-    words = kind in ("power", "antipower")
-    same = w.next_cell_equal(d, abelian=not words)[: starts + (m - 2) * d]
+    alive = (1 << starts) - 1
     if not kind.endswith("antipower"):
         # equality is transitive: all m cells are equal when each adjacent pair is
-        return _and_along(same, d, m - 1).nonzero()[0]
-    alive = _and_along(~same, d, m - 1).nonzero()[0]
-    if m > 2 and alive.size:
-        values = w.factor_keys(d) if words else w.abelian_keys(d)
-        for i, j in ((i, i + gap) for gap in range(2, m) for i in range(m - gap)):
-            alive = alive[values[i * d :].take(alive) != values[j * d :].take(alive)]
-            if not alive.size:
-                break
+        return alive & _and_along(same(d), d, m - 1)
+    # cells i and i + gap differ for every i < m - gap; no start reads a bit
+    # of the cells past starts + (m - 1) d
+    cells = (1 << starts + (m - 1) * d) - 1
+    for gap in range(1, m):
+        alive &= _and_along(~same(gap * d) & cells, d, m - gap)
+        if not alive:
+            break
     return alive
 
 
@@ -139,11 +197,13 @@ def find_first(w: FiniteWord, m: int, kind: str, d_max: int | None = None) -> Sc
     if d_max is not None:
         limit = min(limit, d_max)
     best = None
+    widths = _cell_equality(w, abelian=kind.startswith("abelian"))
     # a later width can only win with a smaller start than the best so far
-    for d in range(1, limit + 1):
-        alive = _hit_starts(w, d, m, kind, stop=None if best is None else best[0])
-        if alive.size:
-            best = (int(alive[0]), d)
+    for d, same in zip(range(1, limit + 1), widths):
+        alive = _hit_starts(same, len(w), d, m, kind, stop=None if best is None else best[0])
+        if alive:
+            # the lowest set bit is the first start
+            best = ((alive & -alive).bit_length() - 1, d)
             if best[0] == 0:
                 break
     if best is None:

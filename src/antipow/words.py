@@ -87,6 +87,21 @@ class FiniteWord:
         return FiniteWord(self.alphabet, self.data[:n])
 
     @cached_property
+    def letter_bits(self) -> tuple[int, ...]:
+        """One Python int per alphabet letter, in alphabet order, with bit i
+        set exactly when letter i of the word is that letter. Each is one
+        `bytes.translate` of the reversed word to base-2 digits, so no numpy
+        is loaded."""
+        reversed_data = self.data[::-1]
+        indices = bytes(range(len(self.alphabet)))
+        bits = []
+        for i in indices:
+            # letter i to the digit "1", every other letter to "0"
+            digits = bytes.maketrans(indices, bytes(b"01"[j == i] for j in indices))
+            bits.append(int(reversed_data.translate(digits) or b"0", 2))
+        return tuple(bits)
+
+    @cached_property
     def cum_counts(self) -> np.ndarray:
         """(len+1, |alphabet|) cumulative letter counts; row t is the Parikh
         vector of the prefix of length t. The array is int32 in column-major
@@ -140,24 +155,6 @@ class FiniteWord:
         if not 1 <= d <= len(self):
             raise ValueError(f"factor length {d} out of range 1..{len(self)}")
 
-    def _level_and_offset(self, d: int) -> tuple[np.ndarray, int]:
-        """The terminated rank level of the largest power of two 2^j <= d,
-        and off = d - 2^j: the length-d factor at p is covered by the two
-        overlapping length-2^j factors at p and p+off."""
-        self._check_width(d)
-        j = d.bit_length() - 1
-        return self._level(j), d - (1 << j)
-
-    def factor_keys(self, d: int) -> np.ndarray:
-        """One integer per length-d factor, in order of position, equal
-        exactly when the factors are equal. For d a power of two the keys
-        are the exact int32 ranks of a rank level. Karp–Miller–Rosenberg
-        rank doubling builds the levels up to log2(d) on first use, so no
-        level above the widest one read is built."""
-        level, off = self._level_and_offset(d)
-        keys = _pair_keys(level, off) if off else level
-        return keys[: len(self) - d + 1]
-
     def _factor_counts(self, max_n: int) -> np.ndarray:
         """Factor complexity for n = 1..max_n, from one sort.
 
@@ -171,8 +168,12 @@ class FiniteWord:
         (lcp, ell]."""
         import numpy as np
 
+        self._check_width(max_n)
         size = len(self)
-        level, off = self._level_and_offset(max_n)
+        # the length-max_n factor at p is covered by the two overlapping
+        # length-2^j factors at p and p + off, for the largest 2^j <= max_n
+        j = max_n.bit_length() - 1
+        level, off = self._level(j), max_n - (1 << j)
         keys = _pair_keys(level, off) if off else level
         order = np.argsort(keys[:size]).astype(np.int32)
         # common prefix of each sorted key with the one before it, capped at
@@ -192,23 +193,6 @@ class FiniteWord:
         starts = np.bincount(lcp + 1, minlength=max_n + 2)
         ends = np.bincount(ell + 1, minlength=max_n + 2)
         return np.cumsum(starts - ends)[1 : max_n + 1]
-
-    def next_cell_equal(self, d: int, abelian: bool) -> np.ndarray:
-        """Boolean per position p = 0..len-2d: whether the length-d factor at
-        p equals the one at p+d, as words or, with abelian set, as Parikh
-        vectors. Word equality compares the rank classes of the two
-        length-2^j factors that cover each cell, so no int64 key is built."""
-        if not 1 <= 2 * d <= len(self):
-            raise ValueError(f"cell width {d} out of range 1..{len(self) // 2}")
-        valid = len(self) - 2 * d + 1
-        if abelian:
-            keys = self.abelian_keys(d)
-            return keys[:valid] == keys[d:]
-        level, off = self._level_and_offset(d)
-        same = level[:valid] == level[d : d + valid]
-        if off:
-            same &= level[off : off + valid] == level[off + d : off + d + valid]
-        return same
 
     def abelian_keys(self, d: int) -> np.ndarray:
         """One integer per length-d factor, in order of position, equal

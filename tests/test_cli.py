@@ -295,6 +295,28 @@ def test_complexity_thue_morse_length_table_matches_the_benchmark_pin(capsys):
     )
 
 
+_AVOIDED = "c9a38d7374b7a6dc23772831be68256f4f925bce24dafe42a86035cba3c6c6ab"
+
+
+@pytest.mark.parametrize(
+    "argv, pin",
+    [
+        ("sierpinski --length 19683 --order 11 --kind antipower --avoidance", _AVOIDED),
+        ("sierpinski --length 19683 --order 11 --kind abelian-antipower --avoidance", _AVOIDED),
+        ("thue-morse --length 16384 --order 3 --kind power --avoidance", _AVOIDED),
+        ("paperfolding (+) --length 16384 --order 4 --kind abelian-antipower",
+         "77ed938e0af45214d16b1440f24707873c756cad568d494003d0d191bdd9182e"),
+    ],
+    ids=["sierpinski antipower", "sierpinski abelian-antipower", "thue-morse cubes",
+         "paperfolding abelian 4-antipower"],
+)
+def test_scan_matches_the_benchmark_pin(capsys, argv, pin):
+    # the benchmark's `scan` queries, with their stdout pins
+    code, out, _ = run(capsys, "scan", *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == pin
+
+
 def test_complexity_json_format(capsys):
     code, out, _ = run(capsys, "complexity", "sierpinski", "--max-n", "2", "--format", "json")
     assert code == 0

@@ -1,12 +1,12 @@
 """The package's public names load on first use, and `antipow.cli` reads
 them through the package's loader, so each command imports only the layers
 it calls. The big-integer commands (`construct`, `delta`) load no word
-layer. `generate`, every abelian `complexity` table of a binary word (from a
-closed form, or on a prefix, with or without `--length`) and the factor
-tables read from a closed form (Thue–Morse and paperfolding without
-`--length` or with one that holds every factor) load no numpy. Factor
-tables on a prefix and `scan` load numpy, but not each other's layer or
-`calculus`."""
+layer. `generate`, `scan` (its masks are Python-int bitsets), every abelian
+`complexity` table of a binary word (from a closed form, or on a prefix,
+with or without `--length`) and the factor tables read from a closed form
+(Thue–Morse and paperfolding without `--length` or with one that holds
+every factor) load no numpy. Only factor tables on a prefix load numpy, and
+no command loads another's layer or `calculus`."""
 
 import os
 import subprocess
@@ -38,6 +38,9 @@ COMPLEXITY_FACTOR_PAPERFOLDING = ["complexity", "paperfolding", "(+)", "--kind",
 # the benchmark's abelian table on a 2^14-letter prefix
 COMPLEXITY_LENGTH_THUE_MORSE = ["complexity", "thue-morse", "--max-n", "10000", "--length", "16384"]
 SCAN = ["scan", "sierpinski", "--length", "27", "--order", "3", "--kind", "antipower"]
+# the benchmark's first-hit search, an abelian kind over 2^14 letters
+SCAN_PAPERFOLDING = ["scan", "paperfolding", "(+)", "--length", "16384", "--order", "4",
+                     "--kind", "abelian-antipower"]
 
 # what `from antipow import *` bound when every layer was imported eagerly
 PUBLIC_NAMES = [
@@ -83,10 +86,12 @@ def main_code(argv: list[str]) -> str:
         (main_code(COMPLEXITY_PAPERFOLDING), False),
         (main_code(COMPLEXITY_LENGTH_THUE_MORSE), False),
         (main_code(COMPLEXITY_FACTOR), True),
+        (main_code(SCAN), False),
+        (main_code(SCAN_PAPERFOLDING), False),
     ],
     ids=["import", "import cli", "instructions", "main delta", "main construct", "main generate",
          "main complexity", "main complexity paperfolding", "main complexity thue-morse length",
-         "main complexity factor"],
+         "main complexity factor", "main scan", "main scan paperfolding"],
 )
 def test_numpy_is_imported_only_by_the_word_layers(code, imported):
     assert ("numpy" in modules_after(code)) is imported
@@ -102,13 +107,14 @@ def test_numpy_is_imported_only_by_the_word_layers(code, imported):
         (COMPLEXITY_FACTOR, {"words", "abelian", "numpy"}),
         (COMPLEXITY_FACTOR_THUE_MORSE, {"words", "abelian"}),
         (COMPLEXITY_FACTOR_PAPERFOLDING, {"words", "abelian"}),
-        (SCAN, {"words", "scan", "numpy"}),
+        (SCAN, {"words", "scan"}),
+        (SCAN_PAPERFOLDING, {"words", "scan"}),
         (CONSTRUCT, {"calculus"}),
         (DELTA, {"calculus"}),
     ],
     ids=["generate", "complexity", "complexity paperfolding", "complexity thue-morse length",
          "complexity factor", "complexity factor thue-morse", "complexity factor paperfolding",
-         "scan", "construct", "delta"],
+         "scan", "scan paperfolding", "construct", "delta"],
 )
 def test_each_command_imports_only_the_layers_it_calls(argv, layers):
     expected = {"antipow.cli", "antipow.instructions"}
@@ -123,12 +129,13 @@ def test_each_command_imports_only_the_layers_it_calls(argv, layers):
         (GENERATE_PAPERFOLDING, False), (COMPLEXITY, False), (COMPLEXITY_THUE_MORSE, False),
         (COMPLEXITY_PAPERFOLDING, False), (COMPLEXITY_PREFIX, False),
         (COMPLEXITY_LENGTH_THUE_MORSE, False), (COMPLEXITY_FACTOR, True),
-        (COMPLEXITY_FACTOR_THUE_MORSE, False), (COMPLEXITY_FACTOR_PAPERFOLDING, False), (SCAN, True),
+        (COMPLEXITY_FACTOR_THUE_MORSE, False), (COMPLEXITY_FACTOR_PAPERFOLDING, False), (SCAN, False),
+        (SCAN_PAPERFOLDING, False),
     ],
     ids=["delta", "construct", "generate", "generate thue-morse", "generate paperfolding",
          "complexity", "complexity thue-morse", "complexity paperfolding", "complexity prefix",
          "complexity thue-morse length", "complexity factor", "complexity factor thue-morse",
-         "complexity factor paperfolding", "scan"],
+         "complexity factor paperfolding", "scan", "scan paperfolding"],
 )
 def test_module_entry_point_imports_numpy_only_for_word_commands(argv, imported):
     proc = subprocess.run(

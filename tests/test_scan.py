@@ -1,6 +1,6 @@
 import random
+from itertools import islice
 
-import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -16,7 +16,7 @@ from antipow import (
     sierpinski_prefix,
     toeplitz_paperfolding_prefix,
 )
-from antipow.scan import _and_along
+from antipow.scan import _and_along, _cell_equality, _hit_starts, _window_counts
 from conftest import brute_find_first
 
 AB = ("a", "b")
@@ -125,14 +125,43 @@ def test_find_first_regular_paperfolding_abelian_9_antipower():
 @pytest.mark.parametrize("d", [1, 2, 3, 7])
 def test_and_along_matches_a_naive_loop(d):
     rng = random.Random(53 + d)
-    # mostly-true masks, so that long runs of trues survive the ANDs
-    mask = np.array([rng.random() < 0.9 for _ in range(200)])
+    # mostly-set masks, so that long runs of set bits survive the ANDs
+    bits = [rng.random() < 0.9 for _ in range(200)]
+    mask = sum(bit << p for p, bit in enumerate(bits))
     for count in range(1, 17):
         expected = [
-            all(mask[p + i * d] for i in range(count))
-            for p in range(len(mask) - (count - 1) * d)
+            all(bits[p + i * d] for i in range(count))
+            for p in range(len(bits) - (count - 1) * d)
         ]
-        assert _and_along(mask, d, count).tolist() == expected
+        got = _and_along(mask, d, count)
+        assert [bool(got >> p & 1) for p in range(len(expected))] == expected
+        # no start reads a bit past the top of the mask
+        assert got >> len(expected) == 0
+
+
+@settings(max_examples=300)
+@given(bits=st.lists(st.booleans(), max_size=150), count=st.integers(1, 40))
+def test_and_along_finds_the_runs_of_ones(bits, count):
+    mask = sum(bit << p for p, bit in enumerate(bits))
+    expected = sum(
+        1 << p for p in range(len(bits)) if bits[p : p + count] == [True] * count
+    )
+    assert _and_along(mask, 1, count) == expected
+
+
+@settings(max_examples=200)
+@given(
+    letters=st.sampled_from(("0", "01", "abc")),
+    data=st.data(),
+)
+def test_window_counts_are_the_counts_of_byte_slices(letters, data):
+    text = data.draw(st.text(alphabet=letters, max_size=80))
+    w = FiniteWord.from_text(text, tuple(letters))
+    for letter, bits in enumerate(w.letter_bits):
+        for d, planes in enumerate(islice(_window_counts(bits), len(w)), 1):
+            for p in range(len(w) - d + 1):
+                count = sum((plane >> p & 1) << b for b, plane in enumerate(planes))
+                assert count == w.data[p : p + d].count(letter)
 
 
 def test_find_first_nonbinary_alphabet():
@@ -171,24 +200,23 @@ def test_scan_hit_json():
 
 def test_slow_abelian_mask_agrees_with_classifier():
     # "slow" is a per-start loop over the ranked Parikh keys of a ternary
-    # word; "fast" is the scanner's adjacent-cell mask followed by the
-    # comparisons of its survivors' farther cells on the same keys
-    from antipow.scan import _hit_starts
-
+    # word; "fast" is the scanner's starts for each width in turn, from the
+    # bit-sliced window counts
     rng = random.Random(47)
     for _ in range(30):
         text = "".join(rng.choice("abc") for _ in range(rng.randint(6, 40)))
         w = FiniteWord.from_text(text, ("a", "b", "c"))
         m = rng.randint(2, 3)
-        d = rng.randint(1, len(w) // m)
-        keys = w.abelian_keys(d)
-        starts = range(len(w) - m * d + 1)
-        slow = [len({int(keys[p + i * d]) for i in range(m)}) == m for p in starts]
-        fast = _hit_starts(w, d, m, "abelian_antipower")
-        assert [p for p, flag in enumerate(slow) if flag] == fast.tolist()
-        for p, flag in enumerate(slow):
-            expected = classify_block(w, BlockSplit(p + 1, d, m)).is_abelian_antipower
-            assert flag == expected
+        widths = _cell_equality(w, abelian=True)
+        for d, same in zip(range(1, len(w) // m + 1), widths):
+            keys = w.abelian_keys(d)
+            starts = range(len(w) - m * d + 1)
+            slow = [len({int(keys[p + i * d]) for i in range(m)}) == m for p in starts]
+            fast = _hit_starts(same, len(w), d, m, "abelian_antipower")
+            assert fast == sum(flag << p for p, flag in enumerate(slow))
+            for p, flag in enumerate(slow):
+                expected = classify_block(w, BlockSplit(p + 1, d, m)).is_abelian_antipower
+                assert flag == expected
 
 
 _STRUCTURED = {

@@ -1,7 +1,5 @@
 import random
-from collections import Counter
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -227,7 +225,7 @@ def test_finite_word_validation():
         FiniteWord((), b"")
 
 
-@pytest.mark.parametrize("method", ["factor_keys", "abelian_keys"])
+@pytest.mark.parametrize("method", ["abelian_keys"])
 def test_key_methods_reject_widths_outside_the_word(method):
     w = morphism_prefix(THUE_MORSE_MORPHISM, "0", 16)
     keys = getattr(w, method)
@@ -237,54 +235,31 @@ def test_key_methods_reject_widths_outside_the_word(method):
     assert len(keys(1)) == 16 and len(keys(len(w))) == 1
 
 
-def test_next_cell_equal_rejects_widths_without_two_cells():
-    w = morphism_prefix(THUE_MORSE_MORPHISM, "0", 16)
-    for d in (0, 9, 40):
-        with pytest.raises(ValueError, match="out of range"):
-            w.next_cell_equal(d, abelian=False)
-    # the halves 01101001 and 10010110 differ as words, not as Parikh vectors
-    assert w.next_cell_equal(8, abelian=False).tolist() == [False]
-    assert w.next_cell_equal(8, abelian=True).tolist() == [True]
-
-
-@st.composite
-def words_and_cell_widths(draw):
-    letters = draw(st.sampled_from(("01", "abc")))
-    text = draw(st.text(alphabet=letters, min_size=2, max_size=120))
-    return FiniteWord.from_text(text, tuple(letters)), draw(st.integers(1, len(text) // 2))
-
-
-@settings(max_examples=300)
-@given(case=words_and_cell_widths())
-def test_next_cell_equal_matches_slices_and_parikh_vectors(case):
-    w, d = case
-    cells = [w.data[p : p + d] for p in range(len(w) - d + 1)]
-    vectors = [Counter(cell) for cell in cells]
-    positions = range(len(w) - 2 * d + 1)
-    assert w.next_cell_equal(d, abelian=False).tolist() == [
-        cells[p] == cells[p + d] for p in positions
-    ]
-    assert w.next_cell_equal(d, abelian=True).tolist() == [
-        vectors[p] == vectors[p + d] for p in positions
-    ]
+@settings(max_examples=200)
+@given(letters=st.sampled_from(("0", "01", "abc")), data=st.data())
+def test_letter_bits_set_bit_i_for_letter_i(letters, data):
+    text = data.draw(st.text(alphabet=letters, max_size=120))
+    w = FiniteWord.from_text(text, tuple(letters))
+    bits = w.letter_bits
+    assert len(bits) == len(letters)
+    for letter, x in enumerate(bits):
+        assert x == sum(1 << i for i, c in enumerate(w.data) if c == letter)
 
 
 def test_rank_levels_are_exact_and_built_only_up_to_the_level_read():
     w = toeplitz_paperfolding_prefix(REGULAR, 300)
-    w.factor_keys(6)
+    w._level(2)
     assert len(w._rank_levels) == 3
     for j in range(9):
-        level = w.factor_keys(1 << j)
-        assert len(level) == len(w) - (1 << j) + 1
+        level = w._level(j)
+        assert len(level) == len(w) + 1
         classes = {}
-        for p, rank in enumerate(level.tolist()):
+        for p, rank in enumerate(level[: len(w) - (1 << j) + 1].tolist()):
             assert classes.setdefault(w.data[p : p + (1 << j)], rank) == rank
         # the terminated suffixes take ranks too, so distinct factors have
         # distinct ranks that need not run from 0
         assert len(set(classes.values())) == len(classes)
     assert len(w._rank_levels) == 9
-    with pytest.raises(ValueError, match="out of range"):
-        w.factor_keys(1 << 9)
 
 
 def test_cached_arrays_are_read_only():
@@ -294,7 +269,7 @@ def test_cached_arrays_are_read_only():
     answers = lambda: (abelian_complexity(w, 5), factor_complexity(w, 8),
                        find_first(w, 2, "antipower"), find_first(w, 3, "abelian_power"))
     before = answers()
-    for array in (w.cum_counts, *(w.factor_keys(1 << j) for j in range(7))):
+    for array in (w.cum_counts, *(w._level(j) for j in range(7))):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 1
     assert len(w._rank_levels) == 7
@@ -309,14 +284,14 @@ def test_rank_levels_refuse_sequences_whose_pair_keys_overflow():
             return 2**31
 
     w = LongWord(("a", "b"), b"\x00")
-    for read in (lambda: w.factor_keys(1), lambda: w.factor_keys(3)):
+    for read in (lambda: w._level(0), lambda: w._level(1)):
         with pytest.raises(ValueError, match="at most 2147483647 letters \\(MAX_ARRAY_LENGTH\\)"):
             read()
 
 
 def test_array_methods_refuse_words_over_the_prefix_budget(monkeypatch):
     monkeypatch.setattr("antipow.words.MAX_ARRAY_LENGTH", 63)
-    for read in (lambda w: w.cum_counts, lambda w: w.factor_keys(1)):
+    for read in (lambda w: w.cum_counts, lambda w: w._level(0)):
         read(toeplitz_paperfolding_prefix(REGULAR, 63))
         with pytest.raises(ValueError, match="at most 63 letters \\(MAX_ARRAY_LENGTH\\)"):
             read(toeplitz_paperfolding_prefix(REGULAR, 64))
