@@ -14,7 +14,7 @@ more letters and the single-n functions (`abelian_complexity`,
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .words import FiniteWord
 
@@ -94,21 +94,26 @@ def cyclic_shift_spectrum(f: FiniteWord, u: int) -> set[int]:
     return {q for q in range(1, len(values) + 1) if values == values[q:] + values[:q]}
 
 
-@dataclass(frozen=True)
-class ComplexityTable:
+class ComplexityTable(
+    NamedTuple("ComplexityTable", [("kind", str), ("rows", tuple[tuple[int, int], ...])])
+):
     """Rows (n, value) of a complexity function; kind is 'abelian' or 'factor'."""
 
-    kind: str
-    rows: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("abelian", "factor"):
-            raise ValueError(f"unknown complexity kind {self.kind!r}")
-        ns = [n for n, _ in self.rows]
+    def __new__(cls, kind: str, rows: tuple[tuple[int, int], ...]) -> "ComplexityTable":
+        if kind not in ("abelian", "factor"):
+            raise ValueError(f"unknown complexity kind {kind!r}")
+        ns = [n for n, _ in rows]
         if ns != sorted(set(ns)):
             raise ValueError("row lengths must be strictly increasing")
-        if any(v < 1 for _, v in self.rows):
+        if any(v < 1 for _, v in rows):
             raise ValueError("complexity values are >= 1")
+        return super().__new__(cls, kind, rows)
+
+    @classmethod
+    def _make(cls, fields) -> "ComplexityTable":
+        return cls(*fields)
 
     def to_csv(self) -> str:
         out = io.StringIO()

@@ -21,9 +21,7 @@ lets arbitrarily spread vectors be assembled from a small seed block.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, replace
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .instructions import (
     MAX_COMBINED_BITS,
@@ -36,8 +34,7 @@ from .instructions import (
 SEED_SCAN_BOUND = 1024
 
 
-@dataclass(frozen=True)
-class OrderDecomposition:
+class OrderDecomposition(NamedTuple):
     """i = 2^order * (2*odd_index + 1)."""
 
     order: int
@@ -140,8 +137,7 @@ def delta_interval(b: InstructionSequence, a: int, n: int) -> int:
     return _cell_ones(b, a, n - a, 1)[0] - _baseline(n - a)
 
 
-@dataclass(frozen=True)
-class EVector:
+class EVector(NamedTuple):
     """Per-cell excess pattern of one order under a fixed bit hypothesis."""
 
     order: int
@@ -149,8 +145,7 @@ class EVector:
     components: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class DeltaVector:
+class DeltaVector(NamedTuple):
     """Per-cell excess one-counts of m consecutive cells."""
 
     components: tuple[int, ...]
@@ -222,8 +217,7 @@ def differing_orders(b: InstructionSequence, l: int, d: int, m: int) -> frozense
     return frozenset(k for k, bit in enumerate(reversed(bin(mask)[2:])) if bit == "1")
 
 
-@dataclass(frozen=True)
-class PrecheckReport:
+class PrecheckReport(NamedTuple):
     ok: bool
     violations: tuple[str, ...]
 
@@ -387,8 +381,7 @@ def _shift_schedule(
     return schedule
 
 
-@dataclass(frozen=True)
-class AntipowerCertificate:
+class AntipowerCertificate(NamedTuple):
     """A verified abelian m-antipower occurrence: m cells of width cell_width
     starting at position start+1, with pairwise distinct one-counts.
 
@@ -407,6 +400,8 @@ class AntipowerCertificate:
     verified: bool
 
     def to_json(self) -> str:
+        import json
+
         with _unlimited_int_digits():
             return json.dumps(
                 {
@@ -424,6 +419,8 @@ class AntipowerCertificate:
 
     @classmethod
     def from_json(cls, text: str) -> "AntipowerCertificate":
+        import json
+
         with _unlimited_int_digits():
             raw = json.loads(text)
             return cls(
@@ -514,7 +511,7 @@ def construct_antipower(b: InstructionSequence, m: int) -> AntipowerCertificate:
         alpha=tuple(alphas),
         verified=False,
     )
-    return replace(cert, verified=verify_certificate(b, cert))
+    return cert._replace(verified=verify_certificate(b, cert))
 
 
 def verify_certificate(b: InstructionSequence, cert: AntipowerCertificate) -> bool:

@@ -9,7 +9,6 @@ verification failure.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from importlib import import_module
 from typing import TYPE_CHECKING
@@ -47,6 +46,13 @@ def _emit(text: str, output: str | None) -> None:
     else:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text)
+
+
+def _json(record) -> str:
+    # only the commands that print JSON load json
+    import json
+
+    return json.dumps(record)
 
 
 def _fail(message: str, code: int) -> int:
@@ -147,7 +153,7 @@ def cmd_complexity(args) -> int:
         w = _build_word(args.word, args.instructions, length)
         table = _cli.complexity_table(w, args.kind, args.max_n)
     if args.fmt == "json":
-        _emit("\n".join(json.dumps({"n": n, "value": v}) for n, v in table.rows), args.output)
+        _emit("\n".join(_json({"n": n, "value": v}) for n, v in table.rows), args.output)
     else:
         _emit(table.to_csv(), args.output)
     return 0
@@ -243,7 +249,7 @@ def cmd_delta(args) -> int:
         vec = _cli.delta_vector(b, l, args.d, args.m).components
         record = {"l": str(l), "d": str(args.d), "m": args.m, "delta": list(vec)}
         text = "(" + ",".join(map(str, vec)) + ")"
-    _emit(json.dumps(record) if args.fmt == "json" else text, args.output)
+    _emit(_json(record) if args.fmt == "json" else text, args.output)
     return code
 
 

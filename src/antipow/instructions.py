@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
+from typing import NamedTuple
 
 _INSTRUCTION_RE = re.compile(r"^([+-]*)\(([+-]+)\)$")
 
@@ -27,19 +27,29 @@ MAX_COMBINED_BITS = 2**20
 MAX_ARRAY_LENGTH = 2**31 - 1
 
 
-@dataclass(frozen=True)
-class InstructionSequence:
+# The records are NamedTuples: a dataclass would cost every command the
+# import of its module, with inspect, ast and dis, at start-up. A record
+# that checks its fields subclasses the functional form, whose `__new__` it
+# may override; its `_make` builds through `__new__`, so `_replace` checks
+# them too
+class InstructionSequence(
+    NamedTuple("InstructionSequence", [("preperiod", tuple[int, ...]), ("period", tuple[int, ...])])
+):
     """Eventually periodic sequence over {+1, -1}: the folding instructions
     b_0 b_1 b_2 ... of a paperfolding word."""
 
-    preperiod: tuple[int, ...]
-    period: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.period:
+    def __new__(cls, preperiod: tuple[int, ...], period: tuple[int, ...]) -> "InstructionSequence":
+        if not period:
             raise ValueError("period must be nonempty")
-        if any(v not in (1, -1) for v in self.preperiod + self.period):
+        if any(v not in (1, -1) for v in preperiod + period):
             raise ValueError("instructions must be +1 or -1")
+        return super().__new__(cls, preperiod, period)
+
+    @classmethod
+    def _make(cls, fields) -> "InstructionSequence":
+        return cls(*fields)
 
     def at(self, k: int) -> int:
         """Instruction b_k (0-indexed)."""

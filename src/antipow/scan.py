@@ -20,53 +20,54 @@ prefix: a longer prefix may hold an earlier start with a wider cell.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
 from functools import partial
 from itertools import count
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from .words import FiniteWord
 
 KINDS = ("power", "abelian_power", "antipower", "abelian_antipower")
 
 
-@dataclass(frozen=True)
-class BlockSplit:
+class BlockSplit(NamedTuple("BlockSplit", [("start", int), ("cell_width", int), ("order", int)])):
     """Geometry of m consecutive cells of width cell_width starting at the
     1-based position start; occupies positions start..start+m*cell_width-1."""
 
-    start: int
-    cell_width: int
-    order: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.start < 1:
+    def __new__(cls, start: int, cell_width: int, order: int) -> "BlockSplit":
+        if start < 1:
             raise ValueError("start is 1-based, must be >= 1")
-        if self.cell_width < 1 or self.order < 1:
+        if cell_width < 1 or order < 1:
             raise ValueError("cell width and order must be >= 1")
+        return super().__new__(cls, start, cell_width, order)
+
+    @classmethod
+    def _make(cls, fields) -> "BlockSplit":
+        return cls(*fields)
 
     @property
     def end(self) -> int:
         return self.start + self.cell_width * self.order - 1
 
 
-@dataclass(frozen=True)
-class ClassifyResult:
+class ClassifyResult(NamedTuple):
     is_power: bool
     is_abelian_power: bool
     is_antipower: bool
     is_abelian_antipower: bool
 
 
-@dataclass(frozen=True)
-class ScanHit:
+class ScanHit(NamedTuple):
     start: int
     cell_width: int
     order: int
     kind: str
 
     def to_json(self) -> str:
+        # only a hit printed as JSON loads json
+        import json
+
         return json.dumps(
             {"start": self.start, "d": self.cell_width, "m": self.order, "kind": self.kind}
         )

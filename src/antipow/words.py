@@ -8,7 +8,6 @@ for paperfolding words) on the other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Mapping
 
@@ -38,26 +37,46 @@ def _pair_keys(level: np.ndarray, off: int) -> np.ndarray:
     return keys
 
 
-@dataclass(frozen=True)
+def _frozen(self, name: str, *value) -> None:
+    """`__setattr__` and `__delattr__` of the immutable classes below."""
+    raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+
 class FiniteWord:
     """Immutable finite word over a small ordered alphabet.
 
-    Letters are stored as alphabet indices, one byte each.
+    Letters are stored as alphabet indices, one byte each. The cached views
+    below live in the instance `__dict__`; the fields are set once, here.
     """
 
     alphabet: tuple[str, ...]
     data: bytes
 
-    def __post_init__(self) -> None:
-        if not self.alphabet:
+    def __init__(self, alphabet: tuple[str, ...], data: bytes) -> None:
+        if not alphabet:
             raise ValueError("alphabet must be nonempty")
-        if len(set(self.alphabet)) != len(self.alphabet):
+        if len(set(alphabet)) != len(alphabet):
             raise ValueError("alphabet symbols must be distinct")
-        if any(len(s) != 1 for s in self.alphabet):
+        if any(len(s) != 1 for s in alphabet):
             raise ValueError("alphabet symbols must be single characters")
         # deleting every valid index in C leaves only the out-of-range letters
-        if self.data.translate(None, bytes(range(len(self.alphabet)))):
+        if data.translate(None, bytes(range(len(alphabet)))):
             raise ValueError("letter index out of range for alphabet")
+        object.__setattr__(self, "alphabet", alphabet)
+        object.__setattr__(self, "data", data)
+
+    __setattr__ = __delattr__ = _frozen
+
+    def __repr__(self) -> str:
+        return f"FiniteWord(alphabet={self.alphabet!r}, data={self.data!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.alphabet, self.data) == (other.alphabet, other.data)
+
+    def __hash__(self) -> int:
+        return hash((self.alphabet, self.data))
 
     @classmethod
     def from_text(cls, text: str, alphabet: tuple[str, ...]) -> "FiniteWord":
@@ -209,22 +228,28 @@ class FiniteWord:
         return ranks
 
 
-@dataclass(frozen=True, eq=False)
 class Morphism:
     """Substitution on a finite alphabet; the alphabet is the ordered set of
-    rule keys and every rule image must stay inside it."""
+    rule keys and every rule image must stay inside it. Morphisms compare
+    by identity."""
 
     rules: Mapping[str, str]
 
-    def __post_init__(self) -> None:
-        if not self.rules:
+    def __init__(self, rules: Mapping[str, str]) -> None:
+        if not rules:
             raise ValueError("morphism needs at least one rule")
-        letters = set(self.rules)
-        for sym, image in self.rules.items():
+        letters = set(rules)
+        for sym, image in rules.items():
             if not image:
                 raise ValueError(f"rule for {sym!r} is empty")
             if not set(image) <= letters:
                 raise ValueError(f"rule for {sym!r} uses symbols without rules")
+        object.__setattr__(self, "rules", rules)
+
+    __setattr__ = __delattr__ = _frozen
+
+    def __repr__(self) -> str:
+        return f"Morphism(rules={self.rules!r})"
 
     @property
     def alphabet(self) -> tuple[str, ...]:

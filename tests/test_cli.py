@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import io
 import json
@@ -535,7 +534,7 @@ def test_construct_exits_3_when_the_assembled_vector_is_not_the_weighted_sum(cap
 
 def test_construct_exits_3_on_an_unverified_certificate(capsys, monkeypatch):
     def unverified(b, m):
-        return dataclasses.replace(construct_antipower(b, m), verified=False)
+        return construct_antipower(b, m)._replace(verified=False)
 
     monkeypatch.setattr("antipow.cli.construct_antipower", unverified)
     code, out, _ = run(capsys, "construct", "--instructions", "(+)", "--order", "2")

@@ -6,7 +6,9 @@ layer. `generate`, `scan` (its masks are Python-int bitsets), every abelian
 with or without `--length`) and the factor tables read from a closed form
 (Thue–Morse and paperfolding without `--length` or with one that holds
 every factor) load no numpy. Only factor tables on a prefix load numpy, and
-no command loads another's layer or `calculus`."""
+no command loads another's layer or `calculus`. No command imports
+`dataclasses` or `inspect`, and only the commands that print JSON import
+`json`."""
 
 import os
 import subprocess
@@ -38,6 +40,9 @@ COMPLEXITY_FACTOR_PAPERFOLDING = ["complexity", "paperfolding", "(+)", "--kind",
 # the benchmark's abelian table on a 2^14-letter prefix
 COMPLEXITY_LENGTH_THUE_MORSE = ["complexity", "thue-morse", "--max-n", "10000", "--length", "16384"]
 SCAN = ["scan", "sierpinski", "--length", "27", "--order", "3", "--kind", "antipower"]
+# Thue–Morse is cube-free, so this scan prints no hit
+SCAN_AVOIDANCE = ["scan", "thue-morse", "--length", "64", "--order", "3", "--kind", "power",
+                  "--avoidance"]
 # the benchmark's first-hit search, an abelian kind over 2^14 letters
 SCAN_PAPERFOLDING = ["scan", "paperfolding", "(+)", "--length", "16384", "--order", "4",
                      "--kind", "abelian-antipower"]
@@ -59,14 +64,28 @@ PUBLIC_NAMES = [
 ]
 
 
-def modules_after(code: str) -> set[str]:
-    """Run code in a fresh interpreter; the antipow submodules and numpy it imported."""
-    script = (f"{code}\nimport sys\n"
-              "print(*(m for m in sys.modules if m == 'numpy' or m.startswith('antipow.')))")
+def imported_by(code: str) -> set[str]:
+    """Run code in a fresh interpreter; every module it imported."""
+    script = f"{code}\nimport sys\nprint(*sys.modules)"
     proc = subprocess.run(
         [sys.executable, "-c", script], env=ENV, capture_output=True, text=True, check=True
     )
     return set(proc.stdout.splitlines()[-1].split())
+
+
+def modules_after(code: str) -> set[str]:
+    """Run code in a fresh interpreter; the antipow submodules and numpy it imported."""
+    return {m for m in imported_by(code) if m == "numpy" or m.startswith("antipow.")}
+
+
+def imported_by_entry_point(argv: list[str]) -> set[str]:
+    """Run `python -X importtime -m antipow.cli argv`; every module it imported."""
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "antipow.cli", *argv],
+        env=ENV, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
 
 
 def main_code(argv: list[str]) -> str:
@@ -138,13 +157,28 @@ def test_each_command_imports_only_the_layers_it_calls(argv, layers):
          "complexity factor paperfolding", "scan", "scan paperfolding"],
 )
 def test_module_entry_point_imports_numpy_only_for_word_commands(argv, imported):
-    proc = subprocess.run(
-        [sys.executable, "-X", "importtime", "-m", "antipow.cli", *argv],
-        env=ENV, capture_output=True, text=True,
-    )
-    assert proc.returncode == 0, proc.stderr
-    modules = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
-    assert ("numpy" in modules) is imported
+    assert ("numpy" in imported_by_entry_point(argv)) is imported
+
+
+@pytest.mark.parametrize(
+    "argv, prints_json",
+    [
+        (CONSTRUCT, True), (DELTA, False), ([*DELTA, "--format", "json"], True),
+        (GENERATE, False), (SCAN, True), ([*SCAN, "--format", "text"], False),
+        (SCAN_AVOIDANCE, False), (COMPLEXITY, False), (COMPLEXITY_PREFIX, False),
+        ([*COMPLEXITY_PREFIX, "--format", "json"], True),
+    ],
+    ids=["construct", "delta", "delta json", "generate", "scan", "scan text", "scan avoidance",
+         "complexity", "complexity prefix", "complexity prefix json"],
+)
+@pytest.mark.parametrize("form", ["main", "entry point"])
+def test_commands_import_no_dataclasses_and_json_only_to_print_it(argv, prints_json, form):
+    if form == "main":
+        modules = imported_by(main_code(argv))
+    else:
+        modules = imported_by_entry_point(argv)
+    assert not modules & {"dataclasses", "inspect"}
+    assert ("json" in modules) is prints_json
 
 
 def test_star_import_binds_the_public_names():
