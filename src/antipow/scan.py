@@ -10,9 +10,14 @@ window counts held bit-sliced, one bitset per bit of the count, for each
 letter but the last; they step from d to d + 1 by a ripple-carry add, and
 two windows at distance s are equal where no plane differs from its own
 shift by s. Equality is transitive, so a split is an m-power exactly when
-its m - 1 adjacent cells are equal. An m-antipower needs cells i and
-i + gap to differ for every gap, and the gaps past the first cut only the
-starts that survive it. `find_first` takes the widths in ascending order and
+its m - 1 adjacent cells are equal; as words, that is where letters d apart
+agree over a run of (m - 1) d positions. An m-antipower needs cells i and
+i + gap to differ for every gap. Two adjacent cells that repeat the same
+letter are equal as words and as Parikh vectors, so one run bitset per
+letter, stepped from d to d + 1 by one AND until it is empty, drops those
+antipower starts before any cells are compared; the gaps then cut only the
+starts that survive, and a width with none left compares nothing.
+`find_first` takes the widths in ascending order and
 looks, for each width, only at starts before its best hit so far; a hit at
 the first position ends the search. A hit is the first within the given
 prefix: a longer prefix may hold an earlier start with a wider cell.
@@ -98,12 +103,13 @@ def _and_along(mask: int, stride: int, terms: int) -> int:
     p + (terms - 1) stride of mask all are; with stride 1, where mask has a
     run of that many ones from p. Runs of 2^k terms double until
     2^k <= terms < 2^(k+1); two overlapping runs of 2^k then cover them
-    all, since AND is idempotent."""
+    all, since AND is idempotent. An empty mask stays empty, so the
+    doubling stops there."""
     span = 1
-    while 2 * span <= terms:
+    while mask and 2 * span <= terms:
         mask &= mask >> span * stride
         span *= 2
-    if span < terms:
+    if mask and span < terms:
         mask &= mask >> (terms - span) * stride
     return mask
 
@@ -126,60 +132,88 @@ def _window_counts(letter: int) -> Iterator[tuple[int, ...]]:
         yield tuple(planes)
 
 
-def _word_same(letters: tuple[int, ...], d: int, shift: int) -> int:
-    """Starts p whose length-d factors at p and p + shift both fit and are
-    equal: the runs of d ones in the mask of letters that agree at that
+def _letter_runs(letter: int) -> Iterator[int]:
+    """For d = 1, 2, ...: the starts p of a run of d ones in letter, bits
+    p..p+d-1 all set. The runs step from d to d + 1 by one AND with
+    letter >> d until none is left; then the bitset stays 0."""
+    run = letter
+    for d in count(1):
+        yield run
+        if run:
+            run &= letter >> d
+
+
+def _word_same(letters: tuple[int, ...], d: int, shift: int, pairs: int = 1) -> int:
+    """Starts p whose length-d factors at p, p + shift, ..., p + pairs·shift
+    all fit and are equal, for shift <= d when pairs > 1: the runs of
+    d + (pairs - 1) shift ones in the mask of letters that agree at that
     distance."""
     agree = 0
     for letter in letters:
         agree |= letter & letter >> shift
-    return _and_along(agree, 1, d)
+    return _and_along(agree, 1, d + (pairs - 1) * shift)
 
 
-def _abelian_same(planes: tuple[int, ...], windows: int, shift: int) -> int:
-    """Starts p, among the first windows - shift, whose windows at p and
-    p + shift have the same count in every plane."""
+def _abelian_same(planes: tuple[int, ...], windows: int, shift: int, pairs: int = 1) -> int:
+    """Starts p, among the first windows - pairs·shift, whose windows at p,
+    p + shift, ..., p + pairs·shift have the same count in every plane."""
     differ = 0
     for plane in planes:
         differ |= plane ^ plane >> shift
-    return ~differ & (1 << windows - shift) - 1
+    return _and_along(~differ & (1 << windows - shift) - 1, shift, pairs)
 
 
-def _cell_equality(w: FiniteWord, abelian: bool) -> Iterator[Callable[[int], int]]:
-    """For d = 1, 2, ...: a function of a distance s that gives the bitset of
-    the starts p whose length-d factors at p and p + s both fit and are
-    equal, as words or, with abelian set, as Parikh vectors."""
+def _cell_equality(w: FiniteWord, abelian: bool) -> Iterator[Callable[..., int]]:
+    """For d = 1, 2, ...: a function of a distance s, and optionally of a
+    number k of pairs (s <= d when k > 1), that gives the bitset of the
+    starts p whose length-d factors at p, p + s, ..., p + k s all fit and
+    are equal, as words or, with abelian set, as Parikh vectors."""
     letters = w.letter_bits
     if not abelian:
         for d in count(1):
             yield partial(_word_same, letters, d)
     # the window length fixes the count of the last letter
     counts = [_window_counts(letter) for letter in letters[:-1]]
+    n = len(w)
     for d in count(1):
-        planes = tuple(plane for letter in counts for plane in next(letter))
-        yield partial(_abelian_same, planes, len(w) - d + 1)
+        planes = ()
+        for letter in counts:
+            planes += next(letter)
+        yield partial(_abelian_same, planes, n - d + 1)
 
 
 def _hit_starts(
-    same: Callable[[int], int], size: int, d: int, m: int, kind: str, stop: int | None = None
+    same: Callable[..., int],
+    size: int,
+    d: int,
+    m: int,
+    kind: str,
+    stop: int | None = None,
+    repeat: int = 0,
 ) -> int:
     """Bitset of the 0-based starts below stop (all that fit when None) of
     the m-cell splits of width d of the requested kind, in a word of size
-    letters whose width-d cell equality is `same`."""
+    letters whose width-d cell equality is `same`. Bit q of repeat marks
+    equal cells at q and q + d, such as two that repeat one letter: an
+    antipower start with such an adjacent pair is dropped before `same`
+    compares any cells, and with no start left it is never called."""
     starts = size - m * d + 1
     if stop is not None:
         starts = min(starts, stop)
-    alive = (1 << starts) - 1
     if not kind.endswith("antipower"):
         # equality is transitive: all m cells are equal when each adjacent pair is
-        return alive & _and_along(same(d), d, m - 1)
+        run = same(d, m - 1)
+        return run & (1 << starts) - 1 if run else 0
+    alive = (1 << starts) - 1
     # cells i and i + gap differ for every i < m - gap; no start reads a bit
     # of the cells past starts + (m - 1) d
     cells = (1 << starts + (m - 1) * d) - 1
+    if repeat:
+        alive &= _and_along(~repeat & cells, d, m - 1)
     for gap in range(1, m):
-        alive &= _and_along(~same(gap * d) & cells, d, m - gap)
         if not alive:
             break
+        alive &= _and_along(~same(gap * d) & cells, d, m - gap)
     return alive
 
 
@@ -190,18 +224,27 @@ def find_first(w: FiniteWord, m: int, kind: str, d_max: int | None = None) -> Sc
         raise ValueError(f"unknown kind {kind!r}; expected one of {KINDS}")
     if m < 2:
         raise ValueError("order must be >= 2")
-    if len(w) < m:
+    n = len(w)
+    if n < m:
         raise ValueError("word too short for the requested order")
     if d_max is not None and d_max < 1:
         raise ValueError("d_max must be >= 1")
-    limit = len(w) // m
+    limit = n // m
     if d_max is not None:
         limit = min(limit, d_max)
     best = None
     widths = _cell_equality(w, abelian=kind.startswith("abelian"))
+    # two adjacent cells that repeat the same letter rule out an antipower
+    runs = [_letter_runs(letter) for letter in w.letter_bits] if kind.endswith("antipower") else []
     # a later width can only win with a smaller start than the best so far
     for d, same in zip(range(1, limit + 1), widths):
-        alive = _hit_starts(same, len(w), d, m, kind, stop=None if best is None else best[0])
+        repeat = 0
+        for letter in runs:
+            run = next(letter)
+            repeat |= run & run >> d
+        alive = _hit_starts(
+            same, n, d, m, kind, stop=None if best is None else best[0], repeat=repeat
+        )
         if alive:
             # the lowest set bit is the first start
             best = ((alive & -alive).bit_length() - 1, d)

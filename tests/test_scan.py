@@ -16,7 +16,7 @@ from antipow import (
     sierpinski_prefix,
     toeplitz_paperfolding_prefix,
 )
-from antipow.scan import _and_along, _cell_equality, _hit_starts, _window_counts
+from antipow.scan import _and_along, _cell_equality, _hit_starts, _letter_runs, _window_counts
 from conftest import brute_find_first
 
 AB = ("a", "b")
@@ -125,18 +125,20 @@ def test_find_first_regular_paperfolding_abelian_9_antipower():
 @pytest.mark.parametrize("d", [1, 2, 3, 7])
 def test_and_along_matches_a_naive_loop(d):
     rng = random.Random(53 + d)
-    # mostly-set masks, so that long runs of set bits survive the ANDs
-    bits = [rng.random() < 0.9 for _ in range(200)]
-    mask = sum(bit << p for p, bit in enumerate(bits))
-    for count in range(1, 17):
-        expected = [
-            all(bits[p + i * d] for i in range(count))
-            for p in range(len(bits) - (count - 1) * d)
-        ]
-        got = _and_along(mask, d, count)
-        assert [bool(got >> p & 1) for p in range(len(expected))] == expected
-        # no start reads a bit past the top of the mask
-        assert got >> len(expected) == 0
+    # mostly-set masks keep long runs of set bits through the ANDs; sparse
+    # ones empty after a doubling or two
+    for density in (0.9, 0.2):
+        bits = [rng.random() < density for _ in range(200)]
+        mask = sum(bit << p for p, bit in enumerate(bits))
+        for count in range(1, 17):
+            expected = [
+                all(bits[p + i * d] for i in range(count))
+                for p in range(len(bits) - (count - 1) * d)
+            ]
+            got = _and_along(mask, d, count)
+            assert [bool(got >> p & 1) for p in range(len(expected))] == expected
+            # no start reads a bit past the top of the mask
+            assert got >> len(expected) == 0
 
 
 @settings(max_examples=300)
@@ -162,6 +164,28 @@ def test_window_counts_are_the_counts_of_byte_slices(letters, data):
             for p in range(len(w) - d + 1):
                 count = sum((plane >> p & 1) << b for b, plane in enumerate(planes))
                 assert count == w.data[p : p + d].count(letter)
+
+
+@st.composite
+def run_words(draw, max_len=200):
+    """Words of one-letter runs of 1 to 40 letters over 2 or 3 letters, whose
+    adjacent cells often repeat one letter at widths past 1."""
+    letters = draw(st.sampled_from(("01", "abc")))
+    runs = draw(
+        st.lists(st.tuples(st.sampled_from(letters), st.integers(1, 40)), min_size=2, max_size=12)
+    )
+    text = "".join(letter * length for letter, length in runs)[:max_len]
+    return FiniteWord.from_text(text, tuple(letters))
+
+
+@settings(max_examples=100)
+@given(w=run_words())
+def test_letter_runs_are_the_one_letter_byte_slices(w):
+    for letter, bits in enumerate(w.letter_bits):
+        # past the longest run the bitsets stay empty
+        for d, run in enumerate(islice(_letter_runs(bits), len(w) + 2), 1):
+            one_letter = bytes([letter]) * d
+            assert run == sum(1 << p for p in range(len(w)) if w.data[p : p + d] == one_letter)
 
 
 def test_find_first_nonbinary_alphabet():
@@ -253,4 +277,14 @@ def test_find_first_matches_brute_force_property(w, m, kind, d_max):
 @given(w=scan_words(), m=st.integers(2, 12), kind=kinds)
 def test_avoidance_scan_matches_brute_force_property(w, m, kind):
     assume(len(w) >= m)
+    assert avoidance_scan(w, m, kind) == (brute_find_first(w, m, kind) is None)
+
+
+@settings(max_examples=300)
+@given(w=run_words(), m=st.integers(2, 12), kind=kinds, d_max=st.none() | st.integers(1, 40))
+def test_scans_of_run_words_match_brute_force(w, m, kind, d_max):
+    assume(len(w) >= m)
+    hit = find_first(w, m, kind, d_max=d_max)
+    got = None if hit is None else (hit.start, hit.cell_width)
+    assert got == brute_find_first(w, m, kind, d_max=d_max)
     assert avoidance_scan(w, m, kind) == (brute_find_first(w, m, kind) is None)
