@@ -27,6 +27,7 @@ from .instructions import (
     MAX_COMBINED_BITS,
     InstructionSequence,
     _unlimited_int_digits,
+    json_text,
     paperfolding_letter,
 )
 
@@ -400,10 +401,8 @@ class AntipowerCertificate(NamedTuple):
     verified: bool
 
     def to_json(self) -> str:
-        import json
-
         with _unlimited_int_digits():
-            return json.dumps(
+            return json_text(
                 {
                     "instructions": str(self.instructions),
                     "m": self.m,

@@ -1,6 +1,15 @@
 """Command-line front end: word generation, complexity tables, power and
 antipower scanning, delta-vector queries and certificate synthesis.
 
+`COMMANDS` maps each command to its handler, its positionals and its typed
+flags, and `_parse` reads argv from it: argparse, with the `gettext` and
+`locale` imports it brings, would cost every process about 6 ms before its
+work. A flag's value follows it or an `=`; a value or positional that starts
+with `-` and is not a negative number takes the `=` form or comes after
+`--`. Flags are never abbreviated. `-h` or `--help` prints a usage made
+from the table. JSON is written by `instructions.json_text`, so no command
+imports `json` either.
+
 Exit codes: 0 success, 1 domain violation (failed precheck), 2 usage,
 parse or output-file error, or an input over a budget, 3 internal
 verification failure.
@@ -8,12 +17,12 @@ verification failure.
 
 from __future__ import annotations
 
-import argparse
 import sys
 from importlib import import_module
-from typing import TYPE_CHECKING
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple
 
-from .instructions import MAX_ARRAY_LENGTH, MAX_COMBINED_BITS, _unlimited_int_digits
+from .instructions import MAX_ARRAY_LENGTH, MAX_COMBINED_BITS, _unlimited_int_digits, json_text
 
 if TYPE_CHECKING:
     from .instructions import InstructionSequence
@@ -46,13 +55,6 @@ def _emit(text: str, output: str | None) -> None:
     else:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text)
-
-
-def _json(record) -> str:
-    # only the commands that print JSON load json
-    import json
-
-    return json.dumps(record)
 
 
 def _fail(message: str, code: int) -> int:
@@ -153,7 +155,7 @@ def cmd_complexity(args) -> int:
         w = _build_word(args.word, args.instructions, length)
         table = _cli.complexity_table(w, args.kind, args.max_n)
     if args.fmt == "json":
-        _emit("\n".join(_json({"n": n, "value": v}) for n, v in table.rows), args.output)
+        _emit("\n".join(json_text({"n": n, "value": v}) for n, v in table.rows), args.output)
     else:
         _emit(table.to_csv(), args.output)
     return 0
@@ -249,68 +251,169 @@ def cmd_delta(args) -> int:
         vec = _cli.delta_vector(b, l, args.d, args.m).components
         record = {"l": str(l), "d": str(args.d), "m": args.m, "delta": list(vec)}
         text = "(" + ",".join(map(str, vec)) + ")"
-    _emit(_json(record) if args.fmt == "json" else text, args.output)
+    _emit(json_text(record) if args.fmt == "json" else text, args.output)
     return code
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--output", help="write the result to this path instead of stdout")
+SCAN_KINDS = ("power", "abelian-power", "antipower", "abelian-antipower")
 
-    parser = argparse.ArgumentParser(
-        prog="antipow",
-        allow_abbrev=False,
-        description="Generate structured words, analyze their abelian structure, "
-        "scan for (anti)powers and synthesize verified abelian antipowers.",
-    )
-    sub = parser.add_subparsers(required=True)
 
-    def add_command(name, handler, summary, formats=None):
-        p = sub.add_parser(name, parents=[common], help=summary, allow_abbrev=False)
-        p.set_defaults(handler=handler)
-        if formats:
-            p.add_argument("--format", choices=formats, default=formats[0], dest="fmt",
-                           help=f"output format (default: {formats[0]})")
-        return p
+class Command(NamedTuple):
+    """One command: its handler, whether it takes WORD [INSTRUCTIONS] and
+    its flags, each typed int, str, a tuple of choices or bool (a switch).
+    A flag not in `required` defaults to its first choice, False for a
+    switch, and None otherwise."""
 
-    def add_word_args(p):
-        p.add_argument("word", choices=WORDS)
-        p.add_argument("instructions", nargs="?", metavar="INSTRUCTIONS",
-                       help="paperfolding instruction string, e.g. '(+)' or '+-(-)'")
+    handler: Callable[[SimpleNamespace], int]
+    summary: str
+    takes_word: bool
+    flags: dict[str, Any]
+    required: tuple[str, ...]
 
-    p = add_command("generate", cmd_generate, "print a prefix of a word")
-    add_word_args(p)
-    p.add_argument("--length", type=int, required=True)
 
-    p = add_command("complexity", cmd_complexity, "emit a complexity table", ("csv", "json"))
-    add_word_args(p)
-    p.add_argument("--max-n", type=int, required=True, dest="max_n")
-    p.add_argument("--kind", choices=("abelian", "factor"), default="abelian")
-    p.add_argument("--length", type=int, help="prefix length (default chosen per word)")
+COMMANDS = {
+    "generate": Command(cmd_generate, "print a prefix of a word", True,
+                        {"length": int}, ("length",)),
+    "complexity": Command(cmd_complexity, "emit a complexity table", True,
+                          {"format": ("csv", "json"), "max-n": int, "kind": ("abelian", "factor"),
+                           "length": int}, ("max-n",)),
+    "scan": Command(cmd_scan, "search for (anti)power occurrences", True,
+                    {"format": ("json", "text"), "length": int, "order": int, "kind": SCAN_KINDS,
+                     "d-max": int, "avoidance": bool}, ("length", "order", "kind")),
+    "construct": Command(cmd_construct, "synthesize an abelian antipower certificate", False,
+                         {"instructions": str, "order": int}, ("instructions", "order")),
+    "delta": Command(cmd_delta, "delta vectors and the additivity precheck", False,
+                     {"format": ("text", "json"), "instructions": str, "l": int,
+                      **dict.fromkeys(DELTA_FLAGS, int)}, ("instructions", "l")),
+}
 
-    p = add_command("scan", cmd_scan, "search for (anti)power occurrences", ("json", "text"))
-    add_word_args(p)
-    p.add_argument("--length", type=int, required=True)
-    p.add_argument("--order", type=int, required=True)
-    p.add_argument(
-        "--kind",
-        choices=("power", "abelian-power", "antipower", "abelian-antipower"),
-        required=True,
-    )
-    p.add_argument("--d-max", type=int, dest="d_max")
-    p.add_argument("--avoidance", action="store_true", help="verify absence over every split")
+HELP = ("-h", "--help")
 
-    p = add_command("construct", cmd_construct, "synthesize an abelian antipower certificate")
-    p.add_argument("--instructions", required=True)
-    p.add_argument("--order", type=int, required=True)
 
-    p = add_command("delta", cmd_delta, "delta vectors and the additivity precheck", ("text", "json"))
-    p.add_argument("--instructions", required=True)
-    p.add_argument("--l", type=int, required=True)
-    for flag in DELTA_FLAGS:
-        p.add_argument(f"--{flag}", type=int)
+def _flag_usage(flag: str, kind, required: bool) -> str:
+    if kind is bool:
+        return f"[--{flag}]"
+    value = "{" + ",".join(kind) + "}" if isinstance(kind, tuple) else kind.__name__.upper()
+    return f"--{flag} {value}" if required else f"[--{flag} {value}]"
 
-    return parser
+
+def _usage(name: str | None) -> str:
+    """The help text of a command, or of the program when name is None."""
+    if name is None:
+        width = max(map(len, COMMANDS))
+        lines = [
+            "usage: antipow COMMAND ...",
+            "",
+            "Generate structured words, analyze their abelian structure, "
+            "scan for (anti)powers and synthesize verified abelian antipowers.",
+            "",
+            "commands:",
+            *(f"  {cmd:<{width}}  {c.summary}" for cmd, c in COMMANDS.items()),
+            "",
+            "Run 'antipow COMMAND --help' for the flags of a command.",
+        ]
+        return "\n".join(lines) + "\n"
+    command = COMMANDS[name]
+    words = ["{" + ",".join(WORDS) + "}", "[INSTRUCTIONS]"] if command.takes_word else []
+    flags = [_flag_usage(f, kind, f in command.required) for f, kind in command.flags.items()]
+    lines = [f"usage: antipow {name} " + " ".join(words + flags + ["[--output PATH]"]), "",
+             command.summary.capitalize() + "."]
+    if command.takes_word:
+        lines += ["", "INSTRUCTIONS is the paperfolding instruction string, e.g. '(+)' or '+-(-)';",
+                  "one that starts with '-' goes after '--'."]
+    defaults = [f"--{f} {kind[0]}" for f, kind in command.flags.items()
+                if isinstance(kind, tuple) and f not in command.required]
+    if defaults:
+        lines += ["", "defaults: " + ", ".join(defaults)]
+    return "\n".join(lines) + "\n"
+
+
+def _help(name: str | None) -> SimpleNamespace:
+    """The parse of a help request: its handler prints the usage."""
+    def print_usage(args) -> int:
+        sys.stdout.write(_usage(name))
+        return 0
+
+    return SimpleNamespace(handler=print_usage, instructions=None)
+
+
+def _is_flag(token: str) -> bool:
+    """A token that starts with '-' names a flag, unless it is a negative number."""
+    return token.startswith("-") and not token[1:].isdecimal()
+
+
+def _value(flag: str, kind, text: str):
+    if kind is int:
+        try:
+            return int(text)
+        except ValueError:
+            raise ValueError(f"{flag} takes an integer, not {text!r}") from None
+    if isinstance(kind, tuple) and text not in kind:
+        raise ValueError(f"{flag} takes one of {', '.join(kind)}, not {text!r}")
+    return text
+
+
+def _parse(argv: list[str]) -> SimpleNamespace:
+    """The command and flag values argv gives, as the handler reads them;
+    -h or --help gives a namespace whose handler prints the usage. A usage
+    error raises ValueError. A flag's value is the next token or follows
+    '=' in the same token; a value or positional that starts with '-' and is
+    not a negative number must use the '=' form or come after '--'."""
+    if not argv:
+        raise ValueError(f"a command is required: {', '.join(COMMANDS)}")
+    name, tokens = argv[0], iter(argv[1:])
+    if name in HELP:
+        return _help(None)
+    if name not in COMMANDS:
+        raise ValueError(f"unknown command {name!r}: choose from {', '.join(COMMANDS)}")
+    command = COMMANDS[name]
+    # every command also writes its result to --output PATH instead of stdout
+    flags = {**command.flags, "output": str}
+    values: dict[str, Any] = {}
+    positionals: list[str] = []
+    for token in tokens:
+        if token == "--":
+            positionals += tokens
+            break
+        if not _is_flag(token):
+            positionals.append(token)
+            continue
+        if token in HELP:
+            return _help(name)
+        flag, eq, text = token.partition("=")
+        kind = flags.get(flag[2:]) if flag.startswith("--") else None
+        if kind is None:
+            raise ValueError(f"{name} takes no flag {flag}")
+        if kind is bool:
+            if eq:
+                raise ValueError(f"{flag} is a switch and takes no value")
+            values[flag[2:]] = True
+            continue
+        if not eq:
+            text = next(tokens, None)
+            if text is None or _is_flag(text):
+                raise ValueError(f"{flag} needs a value")
+        values[flag[2:]] = _value(flag, kind, text)
+    missing = [f"--{f}" for f in command.required if f not in values]
+    if command.takes_word:
+        if not positionals:
+            missing.insert(0, "WORD")
+        elif positionals[0] not in WORDS:
+            raise ValueError(f"unknown word {positionals[0]!r}: choose from {', '.join(WORDS)}")
+    if missing:
+        raise ValueError(f"{name} requires {' '.join(missing)}")
+    extra = positionals[2 if command.takes_word else 0:]
+    if extra:
+        raise ValueError(f"{name} takes no argument {extra[0]!r}")
+    args = SimpleNamespace(handler=command.handler)
+    for flag, kind in flags.items():
+        default = False if kind is bool else None
+        if isinstance(kind, tuple) and flag not in command.required:
+            default = kind[0]
+        setattr(args, "fmt" if flag == "format" else flag.replace("-", "_"), values.get(flag, default))
+    if command.takes_word:
+        args.word, args.instructions = (positionals + [None])[:2]
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -318,11 +421,7 @@ def main(argv: list[str] | None = None) -> int:
     # MAX_COMBINED_BITS) pass through decimal text both ways
     with _unlimited_int_digits():
         try:
-            args = build_parser().parse_args(argv)
-        except SystemExit as exc:
-            return 0 if exc.code in (0, None) else int(exc.code)
-
-        try:
+            args = _parse(sys.argv[1:] if argv is None else argv)
             args.instructions = _resolve_instructions(args)
             return args.handler(args)
         except (ValueError, OSError) as exc:

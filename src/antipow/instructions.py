@@ -3,8 +3,10 @@
 This module needs no numpy, so the big-integer layer (`calculus`) and the
 commands built on it start without importing it. Every command loads it,
 so it also holds the guard that lifts the interpreter's int/str digit limit
-for big-integer text and the two budgets: the bit budget of the big
-coordinates and the prefix budget of the array layers.
+for big-integer text, the JSON writer of the records the commands print
+(in place of the `json` module, which would cost every such command its
+import) and the two budgets: the bit budget of the big coordinates and the
+prefix budget of the array layers.
 """
 
 from __future__ import annotations
@@ -109,3 +111,25 @@ def _unlimited_int_digits():
         yield
     finally:
         sys.set_int_max_str_digits(previous)
+
+
+def json_text(record) -> str:
+    """`record`, made of dicts with string keys, lists, tuples, ints, bools
+    and strings, as `json.dumps(record)` writes it. A string `json.dumps`
+    would escape (a quote, a backslash, a control or non-ASCII character)
+    raises ValueError: no command prints one."""
+    if isinstance(record, str):
+        if not (record.isascii() and record.isprintable()) or '"' in record or "\\" in record:
+            raise ValueError(f"json_text writes no string that needs escapes: {record!r}")
+        return f'"{record}"'
+    if isinstance(record, bool):
+        return "true" if record else "false"
+    if isinstance(record, int):
+        return int.__repr__(record)
+    if isinstance(record, (list, tuple)):
+        return "[" + ", ".join(map(json_text, record)) + "]"
+    if isinstance(record, dict):
+        if not all(isinstance(key, str) for key in record):
+            raise TypeError("json_text writes only string keys")
+        return "{" + ", ".join(f"{json_text(k)}: {json_text(v)}" for k, v in record.items()) + "}"
+    raise TypeError(f"json_text cannot write {type(record).__name__}")

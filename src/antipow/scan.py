@@ -29,6 +29,7 @@ from functools import partial
 from itertools import count
 from typing import Callable, Iterator, NamedTuple
 
+from .instructions import json_text
 from .words import FiniteWord
 
 KINDS = ("power", "abelian_power", "antipower", "abelian_antipower")
@@ -70,10 +71,7 @@ class ScanHit(NamedTuple):
     kind: str
 
     def to_json(self) -> str:
-        # only a hit printed as JSON loads json
-        import json
-
-        return json.dumps(
+        return json_text(
             {"start": self.start, "d": self.cell_width, "m": self.order, "kind": self.kind}
         )
 

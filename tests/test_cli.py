@@ -27,7 +27,7 @@ from antipow import (
     toeplitz_paperfolding_prefix,
     verify_certificate,
 )
-from antipow.cli import _build_word, _ceil_log3, _complexity_word_length, main
+from antipow.cli import COMMANDS, _build_word, _ceil_log3, _complexity_word_length, main
 from antipow.instructions import _unlimited_int_digits
 from conftest import instruction_sequences, thue_morse_factor_complexity
 
@@ -688,6 +688,83 @@ def test_byte_identical_reruns(capsys):
 
 def test_usage_error_unknown_command(capsys):
     assert main(["frobnicate"]) == 2
+
+
+def test_no_command_exits_2(capsys):
+    code, out, err = run(capsys)
+    assert code == 2 and out == "" and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+@pytest.mark.parametrize("command", [None, *COMMANDS])
+def test_help_prints_the_usage_from_the_command_table(capsys, command, flag):
+    code, out, err = run(capsys, *([flag] if command is None else [command, flag]))
+    assert code == 0 and err == ""
+    if command is None:
+        assert out.startswith("usage: antipow COMMAND")
+        assert all(f"  {name}  " in out for name in COMMANDS)
+    else:
+        assert out.startswith(f"usage: antipow {command} ")
+        assert all(f"--{name}" in out for name in [*COMMANDS[command].flags, "output"])
+
+
+def _equals_form(argv: tuple[str, ...]) -> list[str]:
+    """argv with each `--flag value` pair written `--flag=value`."""
+    joined, tokens = [], iter(argv)
+    for token in tokens:
+        joined.append(f"{token}={next(tokens)}" if token.startswith("--") and token != "--avoidance"
+                      else token)
+    return joined
+
+
+@pytest.mark.parametrize("argv", [
+    ("construct", "--instructions", "(+)", "--order", "3"),
+    ("scan", "sierpinski", "--length", "100", "--order", "3", "--kind", "antipower", "--avoidance",
+     "--format", "text"),
+    ("scan", "paperfolding", "(+)", "--length", "64", "--order", "2", "--kind", "abelian-antipower",
+     "--d-max", "4"),
+    ("complexity", "paperfolding", "(-+)", "--max-n", "10", "--kind", "factor", "--format", "json"),
+    ("delta", "--instructions", "(+)", "--l", "0", "--d", "2", "--m", "2", "--format", "json"),
+], ids=" ".join)
+def test_flag_value_forms_give_the_same_output(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out
+    assert run(capsys, *_equals_form(argv)) == (0, out, "")
+
+
+def test_double_dash_ends_the_flags(capsys):
+    expected = str(toeplitz_paperfolding_prefix(InstructionSequence.parse("-(+)"), 16)) + "\n"
+    assert run(capsys, "generate", "--length", "16", "--", "paperfolding", "-(+)") == (0, expected, "")
+    code, out, err = run(capsys, "generate", "paperfolding", "-(+)", "--length", "16")
+    assert code == 2 and out == "" and "-(+)" in err
+
+
+def test_negative_numbers_are_values(capsys):
+    # they reach the command, which refuses them, rather than read as flags
+    code, out, err = run(capsys, "construct", "--instructions", "(+)", "--order", "-3")
+    assert code == 2 and out == "" and "order must be >= 2" in err
+
+
+USAGE_ERRORS = [
+    (("construct", "--instructions", "(+)"), "--order"),
+    (("construct", "--instructions", "(+)", "--order", "two"), "--order"),
+    (("construct", "--instructions", "-(+)", "--order", "3"), "--instructions"),
+    (("scan", "sierpinski", "--length", "100", "--order", "3", "--kind", "cube"), "--kind"),
+    (("scan", "cantor", "--length", "100", "--order", "3", "--kind", "power"), "cantor"),
+    (("generate", "sierpinski", "--length", "4", "--order", "2"), "--order"),
+    (("construct", "--instructions", "(+)", "--order", "2", "extra"), "extra"),
+    (("generate", "sierpinski", "(+)", "extra", "--length", "4"), "extra"),
+    (("generate", "sierpinski", "--length"), "--length"),
+    (("scan", "sierpinski", "--length", "100", "--order", "3", "--kind", "antipower",
+      "--avoidance=1"), "--avoidance"),
+]
+
+
+@pytest.mark.parametrize("argv, named", USAGE_ERRORS, ids=[" ".join(a) for a, _ in USAGE_ERRORS])
+def test_usage_errors_exit_2_naming_the_flag_or_token(capsys, argv, named):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and named in err
 
 
 SCAN = ("scan", "sierpinski", "--length", "100", "--order", "3", "--kind", "antipower")

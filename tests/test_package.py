@@ -7,8 +7,9 @@ with or without `--length`) and the factor tables read from a closed form
 (Thue–Morse and paperfolding without `--length` or with one that holds
 every factor) load no numpy. Only factor tables on a prefix load numpy, and
 no command loads another's layer or `calculus`. No command imports
-`dataclasses` or `inspect`, and only the commands that print JSON import
-`json`."""
+`dataclasses` or `inspect`, nor `argparse` (with `gettext` and `locale`) or
+`json`: the CLI parses argv from one command table and writes JSON with
+`instructions.json_text`."""
 
 import os
 import subprocess
@@ -161,24 +162,24 @@ def test_module_entry_point_imports_numpy_only_for_word_commands(argv, imported)
 
 
 @pytest.mark.parametrize(
-    "argv, prints_json",
+    "argv",
     [
-        (CONSTRUCT, True), (DELTA, False), ([*DELTA, "--format", "json"], True),
-        (GENERATE, False), (SCAN, True), ([*SCAN, "--format", "text"], False),
-        (SCAN_AVOIDANCE, False), (COMPLEXITY, False), (COMPLEXITY_PREFIX, False),
-        ([*COMPLEXITY_PREFIX, "--format", "json"], True),
+        CONSTRUCT, DELTA, [*DELTA, "--format", "json"], GENERATE, SCAN, [*SCAN, "--format", "text"],
+        SCAN_AVOIDANCE, COMPLEXITY, COMPLEXITY_PREFIX, [*COMPLEXITY_PREFIX, "--format", "json"],
+        ["--help"], ["scan", "--help"],
     ],
     ids=["construct", "delta", "delta json", "generate", "scan", "scan text", "scan avoidance",
-         "complexity", "complexity prefix", "complexity prefix json"],
+         "complexity", "complexity prefix", "complexity prefix json", "help", "scan help"],
 )
 @pytest.mark.parametrize("form", ["main", "entry point"])
-def test_commands_import_no_dataclasses_and_json_only_to_print_it(argv, prints_json, form):
+def test_commands_import_no_dataclasses_and_json_only_to_print_it(argv, form):
+    """No command imports `dataclasses`, `inspect`, `argparse` (with `gettext` and
+    `locale`) or `json`, not even one that prints JSON."""
     if form == "main":
         modules = imported_by(main_code(argv))
     else:
         modules = imported_by_entry_point(argv)
-    assert not modules & {"dataclasses", "inspect"}
-    assert ("json" in modules) is prints_json
+    assert not modules & {"dataclasses", "inspect", "argparse", "gettext", "locale", "json"}
 
 
 def test_star_import_binds_the_public_names():

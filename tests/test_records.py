@@ -1,7 +1,11 @@
 """The package's records: immutable, checked when built, with the field
 names, field order, reprs, equality and hashes they have always had. The
 value records are NamedTuples, so each also equals the plain tuple of its
-fields, and `_replace` builds a changed copy through the same checks."""
+fields, and `_replace` builds a changed copy through the same checks. The
+records print as JSON through `json_text`, which writes what `json.dumps`
+writes."""
+
+import json
 
 import pytest
 from hypothesis import given, strategies as st
@@ -24,6 +28,7 @@ from antipow import (
     order_decompose,
     toeplitz_paperfolding_prefix,
 )
+from antipow.instructions import _unlimited_int_digits, json_text
 
 WORD = toeplitz_paperfolding_prefix(REGULAR, 40)
 
@@ -167,3 +172,29 @@ def test_certificate_json_round_trip_keeps_equality_and_hash(text, m):
     cert = construct_antipower(InstructionSequence.parse(text), m)
     again = AntipowerCertificate.from_json(cert.to_json())
     assert again == cert and hash(again) == hash(cert)
+
+
+# what the commands print: ints (big ones past the interpreter's 4,300-digit
+# conversion limit), bools and printable ASCII strings with no quote or
+# backslash, in lists and one-level dicts
+_printable = st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E,
+                                   exclude_characters='"\\'))
+_big_ints = st.tuples(st.integers(4301, 6000), st.integers(), st.sampled_from((1, -1))).map(
+    lambda t: t[2] * (10 ** t[0] + t[1]))
+_scalars = st.one_of(st.integers(), _big_ints, st.booleans(), _printable)
+_values = st.one_of(_scalars, st.lists(_scalars))
+_json_records = st.one_of(_values, st.lists(_values), st.dictionaries(_printable, _values))
+
+
+@given(_json_records)
+def test_json_text_writes_what_json_dumps_writes(record):
+    with _unlimited_int_digits():
+        assert json_text(record) == json.dumps(record)
+
+
+@given(st.tuples(_printable, st.sampled_from(['"', "\\", "\n", "\x7f", "é", "−"]), _printable)
+       .map("".join))
+def test_json_text_refuses_a_string_json_would_escape(text):
+    for record in (text, [1, text], {"kind": text}, {text: 1}):
+        with pytest.raises(ValueError):
+            json_text(record)
