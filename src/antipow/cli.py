@@ -22,7 +22,13 @@ from importlib import import_module
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Any, Callable, NamedTuple
 
-from .instructions import MAX_ARRAY_LENGTH, MAX_COMBINED_BITS, _unlimited_int_digits, json_text
+from .instructions import (
+    MAX_ARRAY_LENGTH,
+    MAX_COMBINED_BITS,
+    MAX_TABLE_ROWS,
+    _unlimited_int_digits,
+    json_text,
+)
 
 if TYPE_CHECKING:
     from .instructions import InstructionSequence
@@ -136,6 +142,10 @@ def _complexity_word_length(word: str, max_n: int) -> int:
 def cmd_complexity(args) -> int:
     if args.max_n < 1:
         raise ValueError("--max-n must be >= 1")
+    if args.max_n > MAX_TABLE_ROWS:
+        raise ValueError(
+            f"--max-n {args.max_n} exceeds the budget of {MAX_TABLE_ROWS} rows (2^20, MAX_TABLE_ROWS)"
+        )
     cover = _complexity_word_length(args.word, args.max_n)
     length = cover if args.length is None else args.length
     if args.max_n > length:

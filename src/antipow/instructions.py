@@ -5,8 +5,8 @@ commands built on it start without importing it. Every command loads it,
 so it also holds the guard that lifts the interpreter's int/str digit limit
 for big-integer text, the JSON writer of the records the commands print
 (in place of the `json` module, which would cost every such command its
-import) and the two budgets: the bit budget of the big coordinates and the
-prefix budget of the array layers.
+import) and the three budgets: the bit budget of the big coordinates, the
+prefix budget of the array layers and the row budget of complexity tables.
 """
 
 from __future__ import annotations
@@ -27,6 +27,13 @@ MAX_COMBINED_BITS = 2**20
 # the array layers index positions with int32, so every word command refuses
 # longer prefixes before generating one, and the arrays refuse longer words
 MAX_ARRAY_LENGTH = 2**31 - 1
+
+# rows of a `complexity` table, which is built whole in memory with the
+# prefix it reads: `complexity` refuses a longer --max-n before it computes
+# a cover or a prefix. At 2^20 rows the largest default table, Sierpinski's
+# factor table on its 3^14-letter prefix, peaks at 708 MB, and the abelian
+# tables from a closed form at 175-267 MB
+MAX_TABLE_ROWS = 2**20
 
 
 # The records are NamedTuples: a dataclass would cost every command the

@@ -12,11 +12,15 @@ two windows at distance s are equal where no plane differs from its own
 shift by s. Equality is transitive, so a split is an m-power exactly when
 its m - 1 adjacent cells are equal; as words, that is where letters d apart
 agree over a run of (m - 1) d positions. An m-antipower needs cells i and
-i + gap to differ for every gap. Two adjacent cells that repeat the same
-letter are equal as words and as Parikh vectors, so one run bitset per
-letter, stepped from d to d + 1 by one AND until it is empty, drops those
-antipower starts before any cells are compared; the gaps then cut only the
-starts that survive, and a width with none left compares nothing.
+i + gap to differ for every gap. A run of r >= 3d - 1 copies of one letter
+at s holds two adjacent equal cells, equal as words and as Parikh vectors,
+for every start from s - (m - 2) d to s + r - 2d: its first 3d - 1 letters
+hold both cells of some pair at every offset below d. So the maximal runs
+of at least five letters, found once per word, settle each width whose
+candidate starts they cover before any big-int work is done; for m >= 4 the
+widths after a settled one stay settled until a run falls below 3d - 1
+letters, so they are not checked one by one. The counts of an abelian scan
+step only to the widths that compare cells.
 `find_first` takes the widths in ascending order and
 looks, for each width, only at starts before its best hit so far; a hit at
 the first position ends the search. A hit is the first within the given
@@ -25,8 +29,9 @@ prefix: a longer prefix may hold an earlier start with a wider cell.
 
 from __future__ import annotations
 
+import re
 from functools import partial
-from itertools import count
+from itertools import count, islice
 from typing import Callable, Iterator, NamedTuple
 
 from .instructions import json_text
@@ -130,17 +135,6 @@ def _window_counts(letter: int) -> Iterator[tuple[int, ...]]:
         yield tuple(planes)
 
 
-def _letter_runs(letter: int) -> Iterator[int]:
-    """For d = 1, 2, ...: the starts p of a run of d ones in letter, bits
-    p..p+d-1 all set. The runs step from d to d + 1 by one AND with
-    letter >> d until none is left; then the bitset stays 0."""
-    run = letter
-    for d in count(1):
-        yield run
-        if run:
-            run &= letter >> d
-
-
 def _word_same(letters: tuple[int, ...], d: int, shift: int, pairs: int = 1) -> int:
     """Starts p whose length-d factors at p, p + shift, ..., p + pairs·shift
     all fit and are equal, for shift <= d when pairs > 1: the runs of
@@ -180,21 +174,48 @@ def _cell_equality(w: FiniteWord, abelian: bool) -> Iterator[Callable[..., int]]
         yield partial(_abelian_same, planes, n - d + 1)
 
 
+# letters are byte indices and index 10 is b"\n", which "." takes only with DOTALL
+_RUN = re.compile(rb"(.)\1{4,}", re.DOTALL)
+
+
+def _one_letter_runs(w: FiniteWord) -> list[tuple[int, int]]:
+    """(start, length) of each maximal run of at least five copies of one
+    letter in w, in order of start; a cheap `in` per letter skips the search
+    when there is none."""
+    if not any(bytes([a]) * 5 in w.data for a in range(len(w.alphabet))):
+        return []
+    return [(run.start(), len(run[0])) for run in _RUN.finditer(w.data)]
+
+
+def _settled_through(runs: list[tuple[int, int]], d: int, m: int, stop: int) -> int:
+    """The last width from d on whose starts below stop the runs cover with
+    a pair of adjacent equal cells of an m-cell split, or d - 1 when they
+    do not cover those of d. The runs, (start, length) in order of start,
+    have at least 3d - 1 letters each, so a run of r letters at s covers
+    the starts s - (m - 2) d .. s + r - 2d with no gap. For m >= 4 a width
+    stays covered while every run keeps 3d - 1 letters: a step of d lowers
+    each run's first start by m - 2 >= 2 and its last by 2, and stop by m.
+    A stop set by a hit at b for a smaller width d0 does not fall, but a run
+    that reaches b at d still does at e: b > s + r - 2e + 1 would put b in
+    s .. s + r - 2 d0, which the run covers at d0."""
+    reach = 0
+    for s, r in runs:
+        if s - (m - 2) * d > reach:
+            return d - 1
+        reach = max(reach, s + r - 2 * d + 1)
+        if reach >= stop:
+            return (min(r for _, r in runs) + 1) // 3 if m >= 4 else d
+    return d - 1
+
+
 def _hit_starts(
-    same: Callable[..., int],
-    size: int,
-    d: int,
-    m: int,
-    kind: str,
-    stop: int | None = None,
-    repeat: int = 0,
+    same: Callable[..., int], size: int, d: int, m: int, kind: str, stop: int | None = None
 ) -> int:
     """Bitset of the 0-based starts below stop (all that fit when None) of
     the m-cell splits of width d of the requested kind, in a word of size
-    letters whose width-d cell equality is `same`. Bit q of repeat marks
-    equal cells at q and q + d, such as two that repeat one letter: an
-    antipower start with such an adjacent pair is dropped before `same`
-    compares any cells, and with no start left it is never called."""
+    letters whose width-d cell equality is `same`. An antipower compares
+    the adjacent cells first and the farther gaps only at the starts that
+    survive."""
     starts = size - m * d + 1
     if stop is not None:
         starts = min(starts, stop)
@@ -206,8 +227,6 @@ def _hit_starts(
     # cells i and i + gap differ for every i < m - gap; no start reads a bit
     # of the cells past starts + (m - 1) d
     cells = (1 << starts + (m - 1) * d) - 1
-    if repeat:
-        alive &= _and_along(~repeat & cells, d, m - 1)
     for gap in range(1, m):
         if not alive:
             break
@@ -217,7 +236,10 @@ def _hit_starts(
 
 def find_first(w: FiniteWord, m: int, kind: str, d_max: int | None = None) -> ScanHit | None:
     """Earliest occurrence (smallest start, ties broken by smallest cell
-    width) of the requested kind with cell width at most d_max."""
+    width) of the requested kind with cell width at most d_max. An
+    antipower width whose candidate starts all hold two adjacent cells in
+    one run of a letter is settled without comparing cells, and the cell
+    equality steps only to the widths that compare them."""
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}; expected one of {KINDS}")
     if m < 2:
@@ -232,17 +254,21 @@ def find_first(w: FiniteWord, m: int, kind: str, d_max: int | None = None) -> Sc
         limit = min(limit, d_max)
     best = None
     widths = _cell_equality(w, abelian=kind.startswith("abelian"))
-    # two adjacent cells that repeat the same letter rule out an antipower
-    runs = [_letter_runs(letter) for letter in w.letter_bits] if kind.endswith("antipower") else []
+    stepped = settled = 0
+    runs = _one_letter_runs(w) if kind.endswith("antipower") else []
     # a later width can only win with a smaller start than the best so far
-    for d, same in zip(range(1, limit + 1), widths):
-        repeat = 0
-        for letter in runs:
-            run = next(letter)
-            repeat |= run & run >> d
-        alive = _hit_starts(
-            same, n, d, m, kind, stop=None if best is None else best[0], repeat=repeat
-        )
+    for d in range(1, limit + 1):
+        if d <= settled:
+            continue
+        stop = n - m * d + 1 if best is None else min(n - m * d + 1, best[0])
+        if runs:
+            runs = [run for run in runs if run[1] >= 3 * d - 1]
+            settled = _settled_through(runs, d, m, stop)
+            if settled >= d:
+                continue
+        same = next(islice(widths, d - stepped - 1, None))
+        stepped = d
+        alive = _hit_starts(same, n, d, m, kind, stop=stop)
         if alive:
             # the lowest set bit is the first start
             best = ((alive & -alive).bit_length() - 1, d)

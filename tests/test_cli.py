@@ -28,7 +28,7 @@ from antipow import (
     verify_certificate,
 )
 from antipow.cli import COMMANDS, _build_word, _ceil_log3, _complexity_word_length, main
-from antipow.instructions import _unlimited_int_digits
+from antipow.instructions import MAX_TABLE_ROWS, _unlimited_int_digits
 from conftest import instruction_sequences, thue_morse_factor_complexity
 
 REGULAR_32 = "00100110001101100010011100110110"
@@ -181,11 +181,11 @@ class _ClosedForm(Exception):
 
 
 def test_complexity_default_prefix_over_the_budget_is_refused(capsys, monkeypatch, no_generation):
-    # k = ceil(log2 max_n) = 29 gives 4·2^29 and 7·2^29 letters, over 2^31 - 1,
-    # for both kinds: closed-form tables read no prefix but keep its budget.
-    # At k = 28 both prefixes fit: a closed-form table is reached without
-    # writing its 2^28 rows, and a paperfolding abelian table, which has
-    # none, reaches the generator
+    # one row over the row budget (2^20) is refused for every word and kind
+    # before a cover, a closed form or a prefix is computed. At the budget
+    # every default prefix fits the letter budget: a closed-form table is
+    # reached without writing its 2^20 rows, and a Sierpinski factor or a
+    # paperfolding abelian table, which has none, reaches the generator
     infinite_table = antipow.cli.infinite_complexity_table
 
     def intercepted(word, kind, max_n):
@@ -193,17 +193,26 @@ def test_complexity_default_prefix_over_the_budget_is_refused(capsys, monkeypatc
             raise _ClosedForm(word, kind, max_n)
         return None
 
+    def no_cover(word, max_n):
+        raise AssertionError(f"the cover of {word} was computed")
+
     monkeypatch.setattr("antipow.cli.infinite_complexity_table", intercepted)
-    for argv, fits in ((("thue-morse",), 4 << 28), (("paperfolding", "(+)"), 7 << 28)):
+    assert MAX_TABLE_ROWS == 2**20
+    for argv, fits in ((("sierpinski",), 3**14), (("thue-morse",), 4 << 20),
+                       (("paperfolding", "(+)"), 7 << 20)):
         for kind in ("abelian", "factor"):
-            code, out, err = run(capsys, "complexity", *argv, "--kind", kind,
-                                 "--max-n", str(2**28 + 1))
+            with monkeypatch.context() as patch:
+                patch.setattr("antipow.cli._complexity_word_length", no_cover)
+                code, out, err = run(capsys, "complexity", *argv, "--kind", kind,
+                                     "--max-n", str(MAX_TABLE_ROWS + 1))
             assert code == 2 and out == ""
-            assert "exceeds the budget of 2147483647 letters" in err
-            reached = _Generated if argv[0] == "paperfolding" and kind == "abelian" else _ClosedForm
+            assert "--max-n 1048577 exceeds the budget of 1048576 rows" in err
+            generated = (argv[0], kind) in {("sierpinski", "factor"), ("paperfolding", "abelian")}
+            reached = _Generated if generated else _ClosedForm
             with pytest.raises(reached) as exc:
-                run(capsys, "complexity", *argv, "--kind", kind, "--max-n", str(2**28))
-            assert exc.value.args == ((fits,) if reached is _Generated else (argv[0], kind, 2**28))
+                run(capsys, "complexity", *argv, "--kind", kind, "--max-n", str(MAX_TABLE_ROWS))
+            assert exc.value.args == ((fits,) if generated else (argv[0], kind, MAX_TABLE_ROWS))
+            assert fits <= 2**31 - 1
 
 
 @pytest.mark.parametrize("word", ["sierpinski", "thue-morse"])
@@ -431,10 +440,11 @@ def no_generation(monkeypatch):
     ("scan", "paperfolding", "(+)", "--length", str(2**31), "--order", "2", "--kind", "antipower"),
     ("scan", "thue-morse", "--length", str(10**12), "--order", "3", "--kind", "power"),
     ("complexity", "thue-morse", "--max-n", "64", "--length", str(2**31)),
-    # the default prefixes: 3^20 letters, and 2^31 for both binary words
-    ("complexity", "sierpinski", "--max-n", str(10**9)),
-    ("complexity", "thue-morse", "--max-n", str(2**29)),
-    ("complexity", "paperfolding", "(+)", "--kind", "factor", "--max-n", str(2**29)),
+    # a --max-n whose default prefix would be over the budget is refused by
+    # the row budget first (test_complexity_default_prefix_over_the_budget_is_refused)
+    ("complexity", "sierpinski", "--max-n", "3", "--length", str(3**20)),
+    ("complexity", "thue-morse", "--kind", "factor", "--max-n", "256", "--length", str(10**12)),
+    ("complexity", "paperfolding", "(+)", "--kind", "factor", "--max-n", "64", "--length", str(2**31)),
     ("generate", "sierpinski", "--length", str(2**31)),
     ("generate", "thue-morse", "--length", str(10**12)),
     ("generate", "paperfolding", "(+)", "--length", str(2**31)),

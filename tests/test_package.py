@@ -80,13 +80,21 @@ def modules_after(code: str) -> set[str]:
 
 
 def imported_by_entry_point(argv: list[str]) -> set[str]:
-    """Run `python -X importtime -m antipow.cli argv`; every module it imported."""
+    """Run `python -m antipow.cli argv` in a fresh interpreter; every module
+    in `sys.modules` at exit, the layers loaded by `importlib.import_module`
+    included. `alter_sys` makes the module `__main__` while it runs, as
+    `-m` does, which `cli._cli` reads."""
+    script = (
+        "import atexit, runpy, sys\n"
+        "atexit.register(lambda: print(*sys.modules))\n"
+        f"sys.argv[1:] = {argv!r}\n"
+        "runpy.run_module('antipow.cli', run_name='__main__', alter_sys=True)"
+    )
     proc = subprocess.run(
-        [sys.executable, "-X", "importtime", "-m", "antipow.cli", *argv],
-        env=ENV, capture_output=True, text=True,
+        [sys.executable, "-c", script], env=ENV, capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
-    return {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
+    return set(proc.stdout.splitlines()[-1].split())
 
 
 def main_code(argv: list[str]) -> str:
@@ -140,6 +148,34 @@ def test_each_command_imports_only_the_layers_it_calls(argv, layers):
     expected = {"antipow.cli", "antipow.instructions"}
     expected |= {name if name == "numpy" else f"antipow.{name}" for name in layers}
     assert modules_after(main_code(argv)) == expected
+
+
+@pytest.mark.parametrize(
+    "argv, layers",
+    [
+        (GENERATE_PAPERFOLDING, {"words"}),
+        (COMPLEXITY, {"words", "abelian"}),
+        (COMPLEXITY_PAPERFOLDING, {"words", "abelian"}),
+        (COMPLEXITY_LENGTH_THUE_MORSE, {"words", "abelian"}),
+        (COMPLEXITY_FACTOR, {"words", "abelian", "numpy"}),
+        (COMPLEXITY_FACTOR_THUE_MORSE, {"words", "abelian"}),
+        (COMPLEXITY_FACTOR_PAPERFOLDING, {"words", "abelian"}),
+        (SCAN, {"words", "scan"}),
+        (SCAN_PAPERFOLDING, {"words", "scan"}),
+        (CONSTRUCT, {"calculus"}),
+        (DELTA, {"calculus"}),
+    ],
+    ids=["generate", "complexity", "complexity paperfolding", "complexity thue-morse length",
+         "complexity factor", "complexity factor thue-morse", "complexity factor paperfolding",
+         "scan", "scan paperfolding", "construct", "delta"],
+)
+def test_entry_point_imports_only_the_layers_each_command_calls(argv, layers):
+    """As `python -m antipow.cli`, which runs cli as `__main__`, so the
+    package never imports `antipow.cli` itself."""
+    expected = {"antipow", "antipow.instructions"}
+    expected |= {name if name == "numpy" else f"antipow.{name}" for name in layers}
+    modules = imported_by_entry_point(argv)
+    assert {m for m in modules if m == "numpy" or m.split(".")[0] == "antipow"} == expected
 
 
 @pytest.mark.parametrize(

@@ -1,8 +1,9 @@
 import random
-from itertools import islice
+from itertools import groupby, islice
+from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from antipow import (
     BlockSplit,
@@ -16,7 +17,15 @@ from antipow import (
     sierpinski_prefix,
     toeplitz_paperfolding_prefix,
 )
-from antipow.scan import _and_along, _cell_equality, _hit_starts, _letter_runs, _window_counts
+from antipow import scan
+from antipow.scan import (
+    _and_along,
+    _cell_equality,
+    _hit_starts,
+    _one_letter_runs,
+    _settled_through,
+    _window_counts,
+)
 from conftest import brute_find_first
 
 AB = ("a", "b")
@@ -178,14 +187,85 @@ def run_words(draw, max_len=200):
     return FiniteWord.from_text(text, tuple(letters))
 
 
+@st.composite
+def wide_run_words(draw, max_len=200):
+    """Words of one-letter runs of 1 to 12 letters over 11 or 12 letters, so
+    that letter index 10, the byte of a newline, occurs."""
+    letters = draw(st.sampled_from(("abcdefghijk", "abcdefghijkl")))
+    runs = draw(
+        st.lists(st.tuples(st.integers(0, len(letters) - 1), st.integers(1, 12)), min_size=2, max_size=30)
+    )
+    data = b"".join(bytes([letter]) * length for letter, length in runs)[:max_len]
+    return FiniteWord(tuple(letters), data)
+
+
+def brute_runs(w):
+    """(start, length) of each maximal run of at least five copies of one letter."""
+    runs, start = [], 0
+    for _, group in groupby(w.data):
+        length = len(list(group))
+        if length >= 5:
+            runs.append((start, length))
+        start += length
+    return runs
+
+
 @settings(max_examples=100)
 @given(w=run_words())
 def test_letter_runs_are_the_one_letter_byte_slices(w):
-    for letter, bits in enumerate(w.letter_bits):
-        # past the longest run the bitsets stay empty
-        for d, run in enumerate(islice(_letter_runs(bits), len(w) + 2), 1):
-            one_letter = bytes([letter]) * d
-            assert run == sum(1 << p for p in range(len(w)) if w.data[p : p + d] == one_letter)
+    runs = _one_letter_runs(w)
+    assert runs == brute_runs(w)
+    for start, length in runs:
+        assert w.data[start : start + length] == w.data[start : start + 1] * length
+
+
+@settings(max_examples=200)
+@given(w=wide_run_words())
+def test_one_letter_runs_of_every_byte_including_newline(w):
+    assert _one_letter_runs(w) == brute_runs(w)
+
+
+def settled_widths(w, m, kind, d_max=None):
+    """(d, stop) of each width `find_first` settles by one-letter runs."""
+    limit = len(w) // m if d_max is None else min(d_max, len(w) // m)
+    widths = []
+
+    def record(runs, d, m, stop):
+        through = _settled_through(runs, d, m, stop)
+        # no width past d moves the best start, so stop falls by m a width
+        widths.extend((e, min(len(w) - m * e + 1, stop)) for e in range(d, min(through, limit) + 1))
+        return through
+
+    with mock.patch.object(scan, "_settled_through", record):
+        find_first(w, m, kind, d_max=d_max)
+    return widths
+
+
+@settings(max_examples=300)
+@given(
+    w=run_words() | wide_run_words(),
+    m=st.integers(2, 12),
+    kind=st.sampled_from(("antipower", "abelian_antipower")),
+    d_max=st.none() | st.integers(1, 40),
+)
+# a run of 3d - 2 letters misses start 2 at d = 3: "baa", "aaa", "aab"
+@example(w=word("bab" + "a" * 7 + "b"), m=3, kind="antipower", d_max=None)
+def test_settled_widths_hold_two_adjacent_cells_in_one_run(w, m, kind, d_max):
+    assume(len(w) >= m)
+    for d, stop in settled_widths(w, m, kind, d_max):
+        for p in range(stop):
+            assert any(
+                len(set(w.data[p + i * d : p + (i + 2) * d])) == 1 for i in range(m - 1)
+            ), (d, p)
+
+
+@pytest.mark.parametrize("kind", ["antipower", "abelian_antipower"])
+def test_runs_settle_most_widths_of_the_sierpinski_scans(kind):
+    w = sierpinski_prefix(3**9)
+    assert len(settled_widths(w, 11, kind)) == 1688
+    # Thue–Morse and paperfolding have no run of five letters
+    assert _one_letter_runs(morphism_prefix(THUE_MORSE_MORPHISM, "0", 2**14)) == []
+    assert _one_letter_runs(toeplitz_paperfolding_prefix(REGULAR, 2**14)) == []
 
 
 def test_find_first_nonbinary_alphabet():
