@@ -1,22 +1,28 @@
 """Parikh-vector machinery: abelian and factor complexity, prefix normality,
 block classing of power-of-two factors and their cyclic-shift spectra.
 
-The abelian complexity of the infinite Sierpinski and Thue–Morse words, and
-the factor complexity of Thue–Morse and of every paperfolding word, also
-have closed forms here, which read no prefix. The abelian table of a binary
-prefix follows one bitset of starts per live one-count from each n to the
-next, in Python ints. Like `words`, the module imports no numpy until a
-`FiniteWord` array is read: factor tables, abelian tables over three or
-more letters and the single-n functions (`abelian_complexity`,
-`factor_complexity`) read one.
+Every complexity algorithm of the package is here, on top of the views of
+a word that `words.FiniteWord` holds. The abelian complexity of the
+infinite Sierpinski and Thue–Morse words, and the factor complexity of
+Thue–Morse and of every paperfolding word, also have closed forms, which
+read no prefix. The abelian table of a binary prefix follows one bitset of
+starts per live one-count from each n to the next, in Python ints. A
+factor table sorts the prefix once, on rank levels it builds and frees.
+Like `words`, the module imports numpy only inside functions: factor
+tables, abelian tables over three or more letters and the single-n
+functions (`abelian_complexity`, `factor_complexity`) load it.
 """
 
 from __future__ import annotations
 
 import io
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
+from .instructions import MAX_ARRAY_LENGTH
 from .words import FiniteWord
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def parikh(w: FiniteWord) -> tuple[int, ...]:
@@ -43,7 +49,7 @@ def abelian_complexity(w: FiniteWord, n: int) -> int:
 def factor_complexity(w: FiniteWord, n: int) -> int:
     """Number of distinct length-n factors of w: the last row of its factor
     table up to n."""
-    return int(w._factor_counts(n)[-1])
+    return int(_factor_counts(w, n)[-1])
 
 
 def is_prefix_normal(w: FiniteWord, letter: str) -> bool:
@@ -134,7 +140,7 @@ def complexity_table(w: FiniteWord, kind: str, max_n: int) -> ComplexityTable:
     if not 1 <= max_n <= len(w):
         raise ValueError(f"max_n {max_n} out of range 1..{len(w)}")
     if kind == "factor":
-        values = w._factor_counts(max_n).tolist()
+        values = _factor_counts(w, max_n).tolist()
     elif len(w.alphabet) == 2:
         values = _binary_abelian_counts(w, max_n)
     else:
@@ -176,6 +182,68 @@ def _binary_abelian_counts(w: FiniteWord, max_n: int) -> list[int]:
         levels = grown
         counts.append(len(levels))
     return counts
+
+
+def _pair_keys(level: np.ndarray, off: int) -> np.ndarray:
+    """key[p] = level[p] * len(level) + level[p+off] as int64, with rank 0
+    past the end, for a rank level of a terminated word. Its ranks stay
+    below len(level), so equal keys are exactly equal rank pairs."""
+    import numpy as np
+
+    keys = level.astype(np.int64)
+    keys *= len(level)
+    keys[: len(level) - off] += level[off:]
+    return keys
+
+
+def _factor_counts(w: FiniteWord, max_n: int) -> np.ndarray:
+    """Factor complexity p(n), n = 1..max_n, of w, from one sort.
+
+    Karp–Miller–Rosenberg level j holds the len+1 int32 ranks, in
+    lexicographic order, of the length-2^j factors at p = 0..len of w padded
+    with terminators, which rank 0, below every letter. The levels up to the
+    largest 2^j <= max_n are built once per call and freed on return. Every
+    position p gets the key of its length-max_n factor in the padded word,
+    so ell_p = min(max_n, len - p) of its letters are real. In sorted
+    order the keys that share their first n letters are contiguous, so each
+    distinct real length-n factor is counted once: at the first key of its
+    run, which has ell >= n and shares fewer than n letters with the key
+    before it. A key sharing lcp letters with its predecessor thus counts
+    for every n in (lcp, ell]."""
+    import numpy as np
+
+    size = len(w)
+    if not 1 <= max_n <= size:
+        raise ValueError(f"factor length {max_n} out of range 1..{size}")
+    if size > MAX_ARRAY_LENGTH:
+        raise ValueError(f"rank levels need at most {MAX_ARRAY_LENGTH} letters (MAX_ARRAY_LENGTH)")
+    _, ranks = np.unique(np.frombuffer(w.data, dtype=np.uint8), return_inverse=True)
+    levels = [np.append(ranks + 1, 0).astype(np.int32)]
+    top = max_n.bit_length() - 1
+    for j in range(top):
+        _, ranks = np.unique(_pair_keys(levels[j], 1 << j), return_inverse=True)
+        levels.append(ranks.astype(np.int32))
+    # the length-max_n factor at p is covered by the two overlapping
+    # length-2^top factors at p and p + off
+    off = max_n - (1 << top)
+    keys = _pair_keys(levels[top], off) if off else levels[top]
+    order = np.argsort(keys[:size]).astype(np.int32)
+    # common prefix of each sorted key with the one before it, capped at
+    # max_n, by descending the levels: the two 2^j-blocks after the prefix
+    # found so far are equal exactly when their level-j ranks are. Two
+    # distinct padded suffixes differ at the end of the shorter one, so no
+    # block starts past index len.
+    first, second = order[:-1], order[1:]
+    lcp = np.zeros(size, np.int32)  # the first key has no predecessor
+    common = lcp[1:]
+    for j in range(top, -1, -1):
+        same = levels[j].take(first + common) == levels[j].take(second + common)
+        same &= common <= max_n - (1 << j)
+        common += same.astype(np.int32) << j
+    ell = np.minimum(size - order, max_n)
+    starts = np.bincount(lcp + 1, minlength=max_n + 2)
+    ends = np.bincount(ell + 1, minlength=max_n + 2)
+    return np.cumsum(starts - ends)[1 : max_n + 1]
 
 
 def _sierpinski_abelian(n: int) -> int:

@@ -4,6 +4,9 @@ Two independent generation mechanisms are provided for each word family so
 that one can validate the other: iterated morphisms / Toeplitz hole-filling
 on one side, closed-form letter oracles (`instructions.paperfolding_letter`
 for paperfolding words) on the other.
+
+`FiniteWord` holds only views of a word (letter bitsets, cumulative counts,
+abelian window keys); every complexity algorithm is in `abelian`.
 """
 
 from __future__ import annotations
@@ -23,18 +26,6 @@ from .instructions import (
 # only the array methods import numpy, so generating a word does not load it
 if TYPE_CHECKING:
     import numpy as np
-
-
-def _pair_keys(level: np.ndarray, off: int) -> np.ndarray:
-    """key[p] = level[p] * len(level) + level[p+off] as int64, with rank 0
-    past the end, for a rank level of a terminated word. Its ranks stay
-    below len(level), so equal keys are exactly equal rank pairs."""
-    import numpy as np
-
-    keys = level.astype(np.int64)
-    keys *= len(level)
-    keys[: len(level) - off] += level[off:]
-    return keys
 
 
 def _frozen(self, name: str, *value) -> None:
@@ -138,87 +129,13 @@ class FiniteWord:
         out.flags.writeable = False
         return out
 
-    @cached_property
-    def _rank_levels(self) -> list[np.ndarray]:
-        """The Karp–Miller–Rosenberg levels built so far of the word followed
-        by one terminator that ranks below every letter; `_level` extends
-        the list. Level j holds len+1 read-only int32 ranks, in lexicographic
-        order, of the length-2^j factors at p = 0..len of the word padded
-        with terminators, so the terminator ranks 0 at every level and a
-        read past the end is rank 0."""
-        import numpy as np
-
-        n = len(self)
-        if n > MAX_ARRAY_LENGTH:
-            raise ValueError(f"rank levels need at most {MAX_ARRAY_LENGTH} letters (MAX_ARRAY_LENGTH)")
-        _, ranks = np.unique(np.frombuffer(self.data, dtype=np.uint8), return_inverse=True)
-        level = np.zeros(n + 1, dtype=np.int32)
-        level[:n] = ranks + 1
-        level.flags.writeable = False
-        return [level]
-
-    def _level(self, j: int) -> np.ndarray:
-        """Terminated rank level j, doubling the levels up to it on first use."""
-        import numpy as np
-
-        levels = self._rank_levels
-        while len(levels) <= j:
-            keys = _pair_keys(levels[-1], 1 << (len(levels) - 1))
-            _, ranks = np.unique(keys, return_inverse=True)
-            level = ranks.astype(np.int32)
-            level.flags.writeable = False
-            levels.append(level)
-        return levels[j]
-
-    def _check_width(self, d: int) -> None:
-        if not 1 <= d <= len(self):
-            raise ValueError(f"factor length {d} out of range 1..{len(self)}")
-
-    def _factor_counts(self, max_n: int) -> np.ndarray:
-        """Factor complexity for n = 1..max_n, from one sort.
-
-        Every position p gets the key of its length-max_n factor in the
-        word padded with terminators, so ell_p = min(max_n, len - p) of its
-        letters are real. In sorted order the keys that share their first
-        n letters are contiguous, so each distinct real length-n factor is
-        counted once: at the first key of its run, which has ell >= n and
-        shares fewer than n letters with the key before it. A key sharing
-        lcp letters with its predecessor thus counts for every n in
-        (lcp, ell]."""
-        import numpy as np
-
-        self._check_width(max_n)
-        size = len(self)
-        # the length-max_n factor at p is covered by the two overlapping
-        # length-2^j factors at p and p + off, for the largest 2^j <= max_n
-        j = max_n.bit_length() - 1
-        level, off = self._level(j), max_n - (1 << j)
-        keys = _pair_keys(level, off) if off else level
-        order = np.argsort(keys[:size]).astype(np.int32)
-        # common prefix of each sorted key with the one before it, capped at
-        # max_n, by descending the levels: the two 2^j-blocks after the
-        # prefix found so far are equal exactly when their level-j ranks
-        # are. Two distinct padded suffixes differ at the end of the shorter
-        # one, so no block starts past index len.
-        first, second = order[:-1], order[1:]
-        lcp = np.zeros(size, np.int32)  # the first key has no predecessor
-        common = lcp[1:]
-        for j in range(max_n.bit_length() - 1, -1, -1):
-            block = self._level(j)
-            same = block.take(first + common) == block.take(second + common)
-            same &= common <= max_n - (1 << j)
-            common += same.astype(np.int32) << j
-        ell = np.minimum(size - order, max_n)
-        starts = np.bincount(lcp + 1, minlength=max_n + 2)
-        ends = np.bincount(ell + 1, minlength=max_n + 2)
-        return np.cumsum(starts - ends)[1 : max_n + 1]
-
     def abelian_keys(self, d: int) -> np.ndarray:
         """One integer per length-d factor, in order of position, equal
         exactly when the factors have the same Parikh vector: the count of
         the second letter over a binary alphabet (the length fixes the
         rest), otherwise the dense rank of the Parikh vector."""
-        self._check_width(d)
+        if not 1 <= d <= len(self):
+            raise ValueError(f"factor length {d} out of range 1..{len(self)}")
         cum = self.cum_counts
         if len(self.alphabet) == 2:
             return cum[d:, 1] - cum[:-d, 1]

@@ -23,6 +23,7 @@ from antipow import (
     sierpinski_prefix,
     toeplitz_paperfolding_prefix,
 )
+from antipow.abelian import _factor_counts
 from antipow.cli import _complexity_word_length
 from conftest import instruction_sequences, thue_morse_factor_complexity
 
@@ -88,9 +89,10 @@ def test_abelian_complexity_thue_morse_bounded():
 
 def test_abelian_complexity_range_errors():
     w = sierpinski_prefix(9)
-    for n in (0, 10):
-        with pytest.raises(ValueError):
-            abelian_complexity(w, n)
+    for complexity in (abelian_complexity, factor_complexity):
+        for n in (0, 10):
+            with pytest.raises(ValueError, match="out of range"):
+                complexity(w, n)
 
 
 def test_factor_complexity_regular_word():
@@ -174,7 +176,7 @@ def test_closed_form_factor_tables_equal_the_cover_prefix_tables(b, max_n):
     else:
         word = "paperfolding"
         prefix = toeplitz_paperfolding_prefix(b, _complexity_word_length(word, max_n))
-    expected = prefix._factor_counts(max_n).tolist()
+    expected = _factor_counts(prefix, max_n).tolist()
     table = infinite_complexity_table(word, "factor", max_n)
     assert table == ComplexityTable("factor", tuple(zip(range(1, max_n + 1), expected)))
 
@@ -324,12 +326,14 @@ def words_and_table_sizes(draw):
 @example(case=(FiniteWord.from_text("aab" * 4 + "aa", ABC), 11))
 @example(case=(FiniteWord.from_text("aab" * 3 + "a", ("a", "b")), 7))
 def test_factor_table_matches_sets_of_factors(case):
-    # one sort gives every row, including N = 1, N = len(w) and powers of two
+    # one sort gives every row, including N = 1, N = len(w) and powers of two;
+    # the rank levels are built for the table, and no array is kept on the word
     w, max_n = case
     expected = tuple(
         (n, len({w.data[i : i + n] for i in range(len(w) - n + 1)})) for n in range(1, max_n + 1)
     )
     assert complexity_table(w, "factor", max_n).rows == expected
+    assert set(vars(w)) == {"alphabet", "data"}
 
 
 def test_factor_table_over_256_letters():

@@ -10,13 +10,13 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import antipow.abelian
 import antipow.calculus
 from antipow import (
     REGULAR,
     THUE_MORSE_MORPHISM,
     AntipowerCertificate,
     DeltaVector,
-    FiniteWord,
     InstructionSequence,
     abelian_complexity,
     complexity_table,
@@ -27,6 +27,7 @@ from antipow import (
     toeplitz_paperfolding_prefix,
     verify_certificate,
 )
+from antipow.abelian import _factor_counts
 from antipow.cli import COMMANDS, _build_word, _ceil_log3, _complexity_word_length, main
 from antipow.instructions import MAX_TABLE_ROWS, _unlimited_int_digits
 from conftest import instruction_sequences, thue_morse_factor_complexity
@@ -130,6 +131,14 @@ def test_complexity_default_paperfolding_prefix_holds_every_factor(capsys):
     assert [classes[n] for n in near] == [abelian_complexity(big, n) for n in near]
 
 
+def test_complexity_default_sierpinski_factor_table_is_2n_minus_1(capsys):
+    # the one default table that sorts a prefix, the 3^8-letter cover: p(1)
+    # = 2 and p(n) = 2n - 1 after, the data behind a Sierpinski closed form
+    code, out, _ = run(capsys, "complexity", "sierpinski", "--kind", "factor", "--max-n", "2187")
+    assert code == 0
+    assert _rows(out) == {n: 2 * n - (n > 1) for n in range(1, 2188)}
+
+
 def test_complexity_default_thue_morse_prefix_holds_every_factor(capsys):
     code, out, _ = run(capsys, "complexity", "thue-morse", "--kind", "factor", "--max-n", "600")
     assert code == 0
@@ -145,10 +154,10 @@ def _assert_default_prefixes_cover(word, generate, top):
     returns that reference table, which the callers hold to the published
     count, so it holds every factor of length <= 2^top."""
     # rows up to n do not depend on how far the table goes
-    reference = generate(16 << top)._factor_counts(2**top).tolist()
+    reference = _factor_counts(generate(16 << top), 2**top).tolist()
     for k in range(top + 1):
         prefix = generate(_complexity_word_length(word, 2**k))
-        assert prefix._factor_counts(2**k).tolist() == reference[: 2**k], k
+        assert _factor_counts(prefix, 2**k).tolist() == reference[: 2**k], k
     return reference
 
 
@@ -227,13 +236,11 @@ def test_complexity_default_prefix_gets_one_factor_pass_each(capsys, monkeypatch
     # paperfolding one reads its closed form, and an abelian query builds no
     # factor table
     lengths = []
-    factor_counts = FiniteWord._factor_counts
-
     def counted(w, max_n):
         lengths.append(len(w))
-        return factor_counts(w, max_n)
+        return _factor_counts(w, max_n)
 
-    monkeypatch.setattr(FiniteWord, "_factor_counts", counted)
+    monkeypatch.setattr(antipow.abelian, "_factor_counts", counted)
     for argv, max_n, passes in ((("paperfolding", "(+)"), 2434, []),
                                 (("sierpinski",), 729, [3**7])):
         code, out, _ = run(capsys, "complexity", *argv, "--kind", kind, "--max-n", str(max_n))

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import antipow.abelian
 from antipow import (
     FiniteWord,
     InstructionSequence,
@@ -18,6 +19,7 @@ from antipow import (
     sierpinski_prefix,
     toeplitz_paperfolding_prefix,
 )
+from antipow.abelian import _factor_counts
 
 REGULAR_32 = "00100110001101100010011100110110"
 
@@ -246,33 +248,41 @@ def test_letter_bits_set_bit_i_for_letter_i(letters, data):
         assert x == sum(1 << i for i, c in enumerate(w.data) if c == letter)
 
 
-def test_rank_levels_are_exact_and_built_only_up_to_the_level_read():
+def test_rank_levels_are_exact_and_built_only_up_to_the_level_read(monkeypatch):
+    # a factor table up to n builds the levels up to the largest 2^j <= n:
+    # one doubling, at offset 2^i, from each level i < j, and one more pair
+    # of level-j ranks at offset n - 2^j when n is not a power of two
+    offsets, pair_keys = [], antipow.abelian._pair_keys
+
+    def recorded(level, off):
+        offsets.append(off)
+        return pair_keys(level, off)
+
+    monkeypatch.setattr(antipow.abelian, "_pair_keys", recorded)
     w = toeplitz_paperfolding_prefix(REGULAR, 300)
-    w._level(2)
-    assert len(w._rank_levels) == 3
     for j in range(9):
-        level = w._level(j)
-        assert len(level) == len(w) + 1
-        classes = {}
-        for p, rank in enumerate(level[: len(w) - (1 << j) + 1].tolist()):
-            assert classes.setdefault(w.data[p : p + (1 << j)], rank) == rank
-        # the terminated suffixes take ranks too, so distinct factors have
-        # distinct ranks that need not run from 0
-        assert len(set(classes.values())) == len(classes)
-    assert len(w._rank_levels) == 9
+        offsets.clear()
+        counts = _factor_counts(w, 1 << j).tolist()
+        assert offsets == [1 << i for i in range(j)]
+        for i in range(j + 1):
+            n = 1 << i
+            assert counts[n - 1] == len({w.data[p : p + n] for p in range(len(w) - n + 1)})
+    offsets.clear()
+    _factor_counts(w, 300)
+    assert offsets == [1 << i for i in range(8)] + [300 - 256]
 
 
 def test_cached_arrays_are_read_only():
-    # every later answer on the word reads the cached arrays, so a caller's
-    # write into one must fail instead of changing those answers
+    # every later answer on the word reads the cached counts, so a caller's
+    # write into them must fail instead of changing those answers; factor
+    # tables build their rank levels per call and keep none on the word
     w = toeplitz_paperfolding_prefix(REGULAR, 64)
     answers = lambda: (abelian_complexity(w, 5), factor_complexity(w, 8),
                        find_first(w, 2, "antipower"), find_first(w, 3, "abelian_power"))
     before = answers()
-    for array in (w.cum_counts, *(w._level(j) for j in range(7))):
-        with pytest.raises(ValueError, match="read-only"):
-            array[0] = 1
-    assert len(w._rank_levels) == 7
+    with pytest.raises(ValueError, match="read-only"):
+        w.cum_counts[0] = 1
+    assert set(vars(w)) == {"alphabet", "data", "cum_counts", "letter_bits"}
     assert answers() == before
     assert before[1] == 32
 
@@ -284,14 +294,16 @@ def test_rank_levels_refuse_sequences_whose_pair_keys_overflow():
             return 2**31
 
     w = LongWord(("a", "b"), b"\x00")
-    for read in (lambda: w._level(0), lambda: w._level(1)):
+    for max_n in (1, 2):
         with pytest.raises(ValueError, match="at most 2147483647 letters \\(MAX_ARRAY_LENGTH\\)"):
-            read()
+            _factor_counts(w, max_n)
 
 
 def test_array_methods_refuse_words_over_the_prefix_budget(monkeypatch):
+    # each array layer reads the budget from its own module
     monkeypatch.setattr("antipow.words.MAX_ARRAY_LENGTH", 63)
-    for read in (lambda w: w.cum_counts, lambda w: w._level(0)):
+    monkeypatch.setattr("antipow.abelian.MAX_ARRAY_LENGTH", 63)
+    for read in (lambda w: w.cum_counts, lambda w: _factor_counts(w, 1)):
         read(toeplitz_paperfolding_prefix(REGULAR, 63))
         with pytest.raises(ValueError, match="at most 63 letters \\(MAX_ARRAY_LENGTH\\)"):
             read(toeplitz_paperfolding_prefix(REGULAR, 64))
