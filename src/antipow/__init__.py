@@ -3,7 +3,8 @@ scanning, and certified synthesis of abelian antipower occurrences.
 
 Submodules and the names below are imported on first access (PEP 562), so
 `import antipow` alone imports no numpy: the instruction and big-integer
-layers (`instructions`, `calculus`) never need it, the word layers do.
+layers (`instructions`, `calculus`, `orders`) never need it, the word layers
+do.
 """
 
 from importlib import import_module
@@ -25,25 +26,27 @@ _EXPORTS = {
     "calculus": (
         "AntipowerCertificate",
         "DeltaVector",
-        "EVector",
-        "OrderDecomposition",
         "additivity_combine",
         "additivity_precheck",
         "alpha_sequence",
-        "characterize_split",
-        "choose_r",
         "construct_antipower",
         "delta_interval",
         "delta_vector",
         "differing_orders",
-        "e_vector",
         "epsilon",
         "find_seed_block",
         "ones_of_order_in_interval",
         "ones_upto",
+        "verify_certificate",
+    ),
+    "orders": (
+        "EVector",
+        "OrderDecomposition",
+        "characterize_split",
+        "choose_r",
+        "e_vector",
         "order_decompose",
         "order_shift_check",
-        "verify_certificate",
     ),
     "instructions": (
         "InstructionSequence",
@@ -72,7 +75,8 @@ _EXPORTS = {
 _ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
 _SUBMODULES = (*_EXPORTS, "cli")
 
-# a star import binds the four layer modules too, not `instructions` or `cli`
+# a star import binds the four layer modules too, not `instructions`, `orders`
+# or `cli`
 __all__ = [*_ORIGIN, "abelian", "calculus", "scan", "words"]
 __version__ = "0.1.0"
 

@@ -12,16 +12,23 @@ two popcounts of masked bit patterns, and `_cell_ones` counts the m
 consecutive cells (l + t*d, l + (t+1)*d) from their m + 1 boundaries under
 one instruction mask: every one-count, delta and delta vector, the seed
 block's base vectors and certificate verification read it. The per-order
-functions stay as the independent cross-check. The vector of deltas over m
-consecutive cells characterizes abelian powers (all components equal) and
-abelian antipowers (components pairwise distinct). The additivity law
-combines two cell geometries into one whose delta vector is the sum, which
-lets arbitrarily spread vectors be assembled from a small seed block.
+counts `ones_of_order_in_interval` and `epsilon` stay as the independent
+cross-check. The vector of deltas over m consecutive cells characterizes
+abelian powers (all components equal) and abelian antipowers (components
+pairwise distinct). The additivity law combines two cell geometries into one
+whose delta vector is the sum, which lets arbitrarily spread vectors be
+assembled from a small seed block.
+
+This module holds what `construct` and `delta` run and every name the
+benchmark's tracer wraps through `antipow.calculus`. The per-order
+vocabulary that no command calls (order decomposition, e-vectors, split
+characterization, `choose_r`, the order-shift recurrence) is in `orders`,
+so a CLI process does not compile it.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from .instructions import (
     MAX_COMBINED_BITS,
@@ -33,25 +40,6 @@ from .instructions import (
 
 # candidate block centers find_seed_block tries before giving up
 SEED_SCAN_BOUND = 1024
-
-
-class OrderDecomposition(NamedTuple):
-    """i = 2^order * (2*odd_index + 1)."""
-
-    order: int
-    odd_index: int
-
-    @property
-    def position(self) -> int:
-        return (2 * self.odd_index + 1) << self.order
-
-
-def order_decompose(i: int) -> OrderDecomposition:
-    """Order (2-adic valuation) and odd index of a position i >= 1."""
-    if i < 1:
-        raise ValueError("positions are 1-based")
-    k = (i & -i).bit_length() - 1
-    return OrderDecomposition(order=k, odd_index=((i >> k) - 1) >> 1)
 
 
 def _check_interval(a: int, n: int) -> None:
@@ -138,14 +126,6 @@ def delta_interval(b: InstructionSequence, a: int, n: int) -> int:
     return _cell_ones(b, a, n - a, 1)[0] - _baseline(n - a)
 
 
-class EVector(NamedTuple):
-    """Per-cell excess pattern of one order under a fixed bit hypothesis."""
-
-    order: int
-    bit: int
-    components: tuple[int, ...]
-
-
 class DeltaVector(NamedTuple):
     """Per-cell excess one-counts of m consecutive cells."""
 
@@ -173,32 +153,11 @@ def _check_geometry(l: int, d: int, m: int) -> None:
         raise ValueError("cell width and cell count must be >= 1")
 
 
-def e_vector(b: InstructionSequence, k: int, bit: int, l: int, d: int, m: int) -> EVector:
-    """Excess of order-k ones in each of the m cells (l+(t-1)d, l+td)."""
-    _check_geometry(l, d, m)
-    return EVector(
-        order=k,
-        bit=bit,
-        components=tuple(epsilon(b, k, bit, l + t * d, l + (t + 1) * d) for t in range(m)),
-    )
-
-
 def delta_vector(b: InstructionSequence, l: int, d: int, m: int) -> DeltaVector:
     """Delta of each of the m consecutive cells of width d starting after l."""
     _check_geometry(l, d, m)
     baseline = _baseline(d)
     return DeltaVector(tuple(c - baseline for c in _cell_ones(b, l, d, m)))
-
-
-def characterize_split(b: InstructionSequence, l: int, d: int, m: int) -> str:
-    """'abelian_power', 'abelian_antipower' or 'neither' for the factor of
-    length d*m starting at position l+1, decided from the delta vector alone."""
-    vec = delta_vector(b, l, d, m)
-    if vec.all_equal():
-        return "abelian_power"
-    if vec.pairwise_distinct():
-        return "abelian_antipower"
-    return "neither"
 
 
 def differing_orders(b: InstructionSequence, l: int, d: int, m: int) -> frozenset[int]:
@@ -258,25 +217,6 @@ def additivity_combine(
     if not report.ok:
         raise ValueError("additivity precheck failed: " + "; ".join(report.violations))
     return l + (lp << r), d + (dp << r)
-
-
-def choose_r(b: InstructionSequence, min_exponent_bound: int, constraint_orders: Iterable[int]) -> int:
-    """Smallest r with 2^r > min_exponent_bound whose shift respects the
-    instruction sequence at every constrained order.
-
-    For r >= len(b.preperiod) the test b_k = b_{k+r} depends only on
-    r mod len(b.period), so one period of shifts past the preperiod decides.
-    """
-    start = int(min_exponent_bound).bit_length()
-    limit = max(start, len(b.preperiod)) + len(b.period) - 1
-    orders = sorted(constraint_orders)
-    for r in range(start, limit + 1):
-        if all(b.at(k) == b.at(k + r) for k in orders):
-            return r
-    raise ValueError(
-        f"no shift exponent r <= {limit} matches the instructions on orders {orders}; "
-        "a constrained order probably falls in an incompatible preperiod"
-    )
 
 
 def find_seed_block(b: InstructionSequence, u: int, k: int) -> int:
@@ -520,18 +460,3 @@ def verify_certificate(b: InstructionSequence, cert: AntipowerCertificate) -> bo
     _check_geometry(start, d, m)
     counts = _cell_ones(b, start, d, m)
     return tuple(counts) == cert.cell_one_counts and len(set(counts)) == m
-
-
-def order_shift_check(b: InstructionSequence, i: int, s: int) -> bool:
-    """Recurrence of letters along their order class: with k the order of i,
-    the letter repeats at i + 2^{k+2+s} and flips at i + 2^{k+1}."""
-    if i < 1:
-        raise ValueError("positions are 1-based")
-    if s < 0:
-        raise ValueError("shift exponent must be >= 0")
-    k = order_decompose(i).order
-    here = paperfolding_letter(b, i)
-    return (
-        paperfolding_letter(b, i + (1 << (k + 2 + s))) == here
-        and paperfolding_letter(b, i + (1 << (k + 1))) != here
-    )

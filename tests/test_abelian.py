@@ -24,7 +24,7 @@ from antipow import (
     toeplitz_paperfolding_prefix,
 )
 from antipow.abelian import _factor_counts
-from antipow.cli import _complexity_word_length
+from antipow.cli_words import _complexity_word_length
 from conftest import instruction_sequences, thue_morse_factor_complexity
 
 ABC = ("a", "b", "c")

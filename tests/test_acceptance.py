@@ -21,6 +21,7 @@ from antipow import (
     characterize_split,
     choose_r,
     classify_block,
+    complexity_table,
     construct_antipower,
     cyclic_shift_spectrum,
     delta_interval,
@@ -188,7 +189,11 @@ def test_criterion_07_thue_morse_complexity_bounded():
 
 def test_criterion_08_factor_complexity_linear():
     w = toeplitz_paperfolding_prefix(REGULAR, 2**16)
-    bad = [n for n in range(7, 65) if factor_complexity(w, n) != 4 * n]
+    # one table reads the counts of every n; factor_complexity, one n at a
+    # time, must agree with it at both ends
+    table = dict(complexity_table(w, "factor", 64).rows)
+    bad = [n for n in range(7, 65) if table[n] != 4 * n]
+    bad += [f"factor_complexity({n})" for n in (7, 64) if factor_complexity(w, n) != table[n]]
     report(8, "regular word factor complexity equals 4n for n = 7..64", not bad,
            f"off at n in {bad[:5]}")
 

@@ -12,6 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 import antipow.abelian
 import antipow.calculus
+import antipow.cli
+import antipow.cli_words
 from antipow import (
     REGULAR,
     THUE_MORSE_MORPHISM,
@@ -28,7 +30,8 @@ from antipow import (
     verify_certificate,
 )
 from antipow.abelian import _factor_counts
-from antipow.cli import COMMANDS, _build_word, _ceil_log3, _complexity_word_length, main
+from antipow.cli import COMMANDS, main
+from antipow.cli_words import _build_word, _ceil_log3, _complexity_word_length
 from antipow.instructions import MAX_TABLE_ROWS, _unlimited_int_digits
 from conftest import instruction_sequences, thue_morse_factor_complexity
 
@@ -211,7 +214,7 @@ def test_complexity_default_prefix_over_the_budget_is_refused(capsys, monkeypatc
                        (("paperfolding", "(+)"), 7 << 20)):
         for kind in ("abelian", "factor"):
             with monkeypatch.context() as patch:
-                patch.setattr("antipow.cli._complexity_word_length", no_cover)
+                patch.setattr("antipow.cli_words._complexity_word_length", no_cover)
                 code, out, err = run(capsys, "complexity", *argv, "--kind", kind,
                                      "--max-n", str(MAX_TABLE_ROWS + 1))
             assert code == 2 and out == ""
@@ -263,7 +266,7 @@ def test_complexity_default_abelian_table_equals_the_prefix_table(capsys, word, 
     # default prefix, which holds every factor of length <= max_n
     for max_n in (1, 2, 3, 4, 27, 28, 243, 244, 64, 65, 512, 513):
         code, out, _ = run(capsys, "complexity", word, "--max-n", str(max_n), "--format", fmt)
-        prefix = _build_word(word, None, _complexity_word_length(word, max_n))
+        prefix = _build_word(antipow.cli, word, None, _complexity_word_length(word, max_n))
         assert code == 0 and len(out.splitlines()) == max_n + (fmt == "csv")
         assert out == _formatted(complexity_table(prefix, "abelian", max_n), fmt), max_n
 
@@ -288,12 +291,12 @@ def test_complexity_from_a_prefix_that_holds_every_factor_equals_its_table(
     # after "--", an instruction string that starts with "-" is positional
     argv = ["complexity", "--kind", kind, "--max-n", str(max_n), "--length", str(length),
             "--format", fmt, "--", word, *([str(b)] if word == "paperfolding" else [])]
-    build = mock.patch.object(antipow.cli, "_build_word", wraps=antipow.cli._build_word)
+    build = mock.patch.object(antipow.cli_words, "_build_word", wraps=antipow.cli_words._build_word)
     with build as built, redirect_stdout(io.StringIO()) as out:
         assert main(argv) == 0
-    expected = complexity_table(_build_word(word, b, length), kind, max_n)
+    expected = complexity_table(_build_word(antipow.cli, word, b, length), kind, max_n)
     assert out.getvalue() == _formatted(expected, fmt)
-    lengths = [call.args[2] for call in built.call_args_list]
+    lengths = [call.args[3] for call in built.call_args_list]
     if kind == "abelian":
         assert lengths == [length]
     else:
@@ -421,7 +424,7 @@ def test_scan_rejects_d_max_with_avoidance(capsys, monkeypatch):
     def no_word(*args):
         raise AssertionError("a word was built")
 
-    monkeypatch.setattr("antipow.cli._build_word", no_word)
+    monkeypatch.setattr("antipow.cli_words._build_word", no_word)
     code, out, err = run(
         capsys, "scan", "sierpinski", "--length", "100", "--order", "3",
         "--kind", "antipower", "--avoidance", "--d-max", "2",
@@ -723,6 +726,22 @@ def test_help_prints_the_usage_from_the_command_table(capsys, command, flag):
     else:
         assert out.startswith(f"usage: antipow {command} ")
         assert all(f"--{name}" in out for name in [*COMMANDS[command].flags, "output"])
+
+
+HELP_SHA256 = {
+    "program": "d823ca50e502f9aa731a6b6d4be3779452295010f1907ea5636aa2169caf0c88",
+    "generate": "dcf6ed52bb2fe84bac8fd48623f48ace38cb231bb0f3a58e0c402c1d5f32c6e2",
+    "complexity": "784adcca1ba3e3189443236c4fe8ae6a7b0ee34dc6d2295bb8fff0577fa32059",
+    "scan": "9c981e5e7ecad6fb15093a10098ebd49568595a84230dc3a5e92fbbcfbe713d3",
+    "construct": "c9c2db4e0ecc66d939fec8e853612af6e032633c00130ea3378d7ce80a37f7a4",
+    "delta": "6ab2a3f78ca612af363d5184077346f82a75025191907b9c6100b9019e22f302",
+}
+
+
+@pytest.mark.parametrize("command", HELP_SHA256)
+def test_help_text_is_pinned(capsys, command):
+    code, out, _ = run(capsys, *([] if command == "program" else [command]), "--help")
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == HELP_SHA256[command]
 
 
 def _equals_form(argv: tuple[str, ...]) -> list[str]:

@@ -6,7 +6,9 @@ layer. `generate`, `scan` (its masks are Python-int bitsets), every abelian
 with or without `--length`) and the factor tables read from a closed form
 (Thue–Morse and paperfolding without `--length` or with one that holds
 every factor) load no numpy. Only factor tables on a prefix load numpy, and
-no command loads another's layer or `calculus`. No command imports
+no command loads another's layer or `calculus`. Each command loads its own
+handler module and no other command's, and none loads the per-order
+vocabulary of `orders`; `--help` loads no layer. No command imports
 `dataclasses` or `inspect`, nor `argparse` (with `gettext` and `locale`) or
 `json`: the CLI parses argv from one command table and writes JSON with
 `instructions.json_text`."""
@@ -125,50 +127,38 @@ def test_numpy_is_imported_only_by_the_word_layers(code, imported):
     assert ("numpy" in modules_after(code)) is imported
 
 
-@pytest.mark.parametrize(
-    "argv, layers",
-    [
-        (GENERATE_PAPERFOLDING, {"words"}),
-        (COMPLEXITY, {"words", "abelian"}),
-        (COMPLEXITY_PAPERFOLDING, {"words", "abelian"}),
-        (COMPLEXITY_LENGTH_THUE_MORSE, {"words", "abelian"}),
-        (COMPLEXITY_FACTOR, {"words", "abelian", "numpy"}),
-        (COMPLEXITY_FACTOR_THUE_MORSE, {"words", "abelian"}),
-        (COMPLEXITY_FACTOR_PAPERFOLDING, {"words", "abelian"}),
-        (SCAN, {"words", "scan"}),
-        (SCAN_PAPERFOLDING, {"words", "scan"}),
-        (CONSTRUCT, {"calculus"}),
-        (DELTA, {"calculus"}),
-    ],
-    ids=["generate", "complexity", "complexity paperfolding", "complexity thue-morse length",
-         "complexity factor", "complexity factor thue-morse", "complexity factor paperfolding",
-         "scan", "scan paperfolding", "construct", "delta"],
-)
+# what each command loads besides `antipow` (or `antipow.cli`) and
+# `antipow.instructions`: its layers and its handler module, `cli_words`,
+# `cli_delta` or `cli_help`; `construct`'s handler is in `cli` itself. No
+# command loads another command's handler module or `orders`
+LOADED = [
+    (GENERATE_PAPERFOLDING, {"words", "cli_words"}),
+    (COMPLEXITY, {"words", "abelian", "cli_words"}),
+    (COMPLEXITY_PAPERFOLDING, {"words", "abelian", "cli_words"}),
+    (COMPLEXITY_LENGTH_THUE_MORSE, {"words", "abelian", "cli_words"}),
+    (COMPLEXITY_FACTOR, {"words", "abelian", "numpy", "cli_words"}),
+    (COMPLEXITY_FACTOR_THUE_MORSE, {"words", "abelian", "cli_words"}),
+    (COMPLEXITY_FACTOR_PAPERFOLDING, {"words", "abelian", "cli_words"}),
+    (SCAN, {"words", "scan", "cli_words"}),
+    (SCAN_PAPERFOLDING, {"words", "scan", "cli_words"}),
+    (CONSTRUCT, {"calculus"}),
+    (DELTA, {"calculus", "cli_delta"}),
+    (["--help"], {"cli_help"}),
+    (["scan", "--help"], {"cli_help"}),
+]
+LOADED_IDS = ["generate", "complexity", "complexity paperfolding", "complexity thue-morse length",
+              "complexity factor", "complexity factor thue-morse", "complexity factor paperfolding",
+              "scan", "scan paperfolding", "construct", "delta", "help", "scan help"]
+
+
+@pytest.mark.parametrize("argv, layers", LOADED, ids=LOADED_IDS)
 def test_each_command_imports_only_the_layers_it_calls(argv, layers):
     expected = {"antipow.cli", "antipow.instructions"}
     expected |= {name if name == "numpy" else f"antipow.{name}" for name in layers}
     assert modules_after(main_code(argv)) == expected
 
 
-@pytest.mark.parametrize(
-    "argv, layers",
-    [
-        (GENERATE_PAPERFOLDING, {"words"}),
-        (COMPLEXITY, {"words", "abelian"}),
-        (COMPLEXITY_PAPERFOLDING, {"words", "abelian"}),
-        (COMPLEXITY_LENGTH_THUE_MORSE, {"words", "abelian"}),
-        (COMPLEXITY_FACTOR, {"words", "abelian", "numpy"}),
-        (COMPLEXITY_FACTOR_THUE_MORSE, {"words", "abelian"}),
-        (COMPLEXITY_FACTOR_PAPERFOLDING, {"words", "abelian"}),
-        (SCAN, {"words", "scan"}),
-        (SCAN_PAPERFOLDING, {"words", "scan"}),
-        (CONSTRUCT, {"calculus"}),
-        (DELTA, {"calculus"}),
-    ],
-    ids=["generate", "complexity", "complexity paperfolding", "complexity thue-morse length",
-         "complexity factor", "complexity factor thue-morse", "complexity factor paperfolding",
-         "scan", "scan paperfolding", "construct", "delta"],
-)
+@pytest.mark.parametrize("argv, layers", LOADED, ids=LOADED_IDS)
 def test_entry_point_imports_only_the_layers_each_command_calls(argv, layers):
     """As `python -m antipow.cli`, which runs cli as `__main__`, so the
     package never imports `antipow.cli` itself."""
@@ -233,6 +223,12 @@ def test_every_listed_name_resolves():
     assert antipow.calculus.paperfolding_letter is antipow.words.paperfolding_letter
     with pytest.raises(AttributeError):
         antipow.no_such_name
+
+
+def test_the_per_order_vocabulary_is_exported_from_orders_only():
+    for name in antipow._EXPORTS["orders"]:
+        assert getattr(antipow, name) is getattr(antipow.orders, name)
+        assert not hasattr(antipow.calculus, name)
 
 
 def test_cli_binds_only_public_names_on_first_read():
