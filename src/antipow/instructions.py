@@ -11,12 +11,9 @@ prefix budget of the array layers and the row budget of complexity tables.
 
 from __future__ import annotations
 
-import re
 import sys
 from contextlib import contextmanager
 from typing import NamedTuple
-
-_INSTRUCTION_RE = re.compile(r"^([+-]*)\(([+-]+)\)$")
 
 # bits of the big coordinates a command builds: the span of a certificate
 # and the combined geometry of the additivity precheck. It is construct's
@@ -71,14 +68,17 @@ class InstructionSequence(
     @classmethod
     def parse(cls, text: str) -> "InstructionSequence":
         """Parse the PRE(PER) grammar, e.g. '(+)', '(-+)', '+-(-)'."""
-        normalized = text.replace("−", "-").strip()
-        m = _INSTRUCTION_RE.match(normalized)
-        if m is None:
+        # split at the first '(' and the first ')' after it: the text is
+        # PRE(PER) when a ')' closes a nonempty PER, nothing follows it, and
+        # PRE and PER are all signs, so neither holds a parenthesis
+        pre, _, rest = text.replace("−", "-").strip().partition("(")
+        per, closed, tail = rest.partition(")")
+        if not (closed and per) or tail or pre.strip("+-") or per.strip("+-"):
             raise ValueError(
                 f"bad instruction string {text!r}: expected PRE(PER) with PRE, PER over +/- and PER nonempty"
             )
         as_ints = lambda s: tuple(1 if ch == "+" else -1 for ch in s)
-        return cls(as_ints(m.group(1)), as_ints(m.group(2)))
+        return cls(as_ints(pre), as_ints(per))
 
     def __str__(self) -> str:
         sign = lambda vs: "".join("+" if v == 1 else "-" for v in vs)

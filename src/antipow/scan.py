@@ -29,7 +29,6 @@ prefix: a longer prefix may hold an earlier start with a wider cell.
 
 from __future__ import annotations
 
-import re
 from functools import partial
 from itertools import count, islice
 from typing import Callable, Iterator, NamedTuple
@@ -175,16 +174,19 @@ def _cell_equality(w: FiniteWord, abelian: bool) -> Iterator[Callable[..., int]]
 
 
 # letters are byte indices and index 10 is b"\n", which "." takes only with DOTALL
-_RUN = re.compile(rb"(.)\1{4,}", re.DOTALL)
+_RUN = rb"(.)\1{4,}"
 
 
 def _one_letter_runs(w: FiniteWord) -> list[tuple[int, int]]:
     """(start, length) of each maximal run of at least five copies of one
     letter in w, in order of start; a cheap `in` per letter skips the search
-    when there is none."""
+    when there is none. `_RUN` is compiled, and `re` imported, only here, on
+    first use: power scans and words without such a run never pay for it."""
     if not any(bytes([a]) * 5 in w.data for a in range(len(w.alphabet))):
         return []
-    return [(run.start(), len(run[0])) for run in _RUN.finditer(w.data)]
+    import re
+
+    return [(run.start(), len(run[0])) for run in re.finditer(_RUN, w.data, re.DOTALL)]
 
 
 def _settled_through(runs: list[tuple[int, int]], d: int, m: int, stop: int) -> int:

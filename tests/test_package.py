@@ -11,8 +11,10 @@ handler module and no other command's, and none loads the per-order
 vocabulary of `orders`; `--help` loads no layer. No command imports
 `dataclasses` or `inspect`, nor `argparse` (with `gettext` and `locale`) or
 `json`: the CLI parses argv from one command table and writes JSON with
-`instructions.json_text`."""
+`instructions.json_text`. `python -m antipow.cli` and the `antipow` script
+run `cli.run`, which freezes the heap before it exits; `main` does not."""
 
+import gc
 import os
 import subprocess
 import sys
@@ -81,22 +83,26 @@ def modules_after(code: str) -> set[str]:
     return {m for m in imported_by(code) if m == "numpy" or m.startswith("antipow.")}
 
 
-def imported_by_entry_point(argv: list[str]) -> set[str]:
-    """Run `python -m antipow.cli argv` in a fresh interpreter; every module
-    in `sys.modules` at exit, the layers loaded by `importlib.import_module`
-    included. `alter_sys` makes the module `__main__` while it runs, as
-    `-m` does, which `cli._cli` reads."""
+def entry_point(argv: list[str], at_exit: str) -> subprocess.CompletedProcess:
+    """Run `python -m antipow.cli argv` in a fresh interpreter, with the
+    expression `at_exit` registered as the first `atexit` handler, so it
+    runs after any other. `alter_sys` makes the module `__main__` while it
+    runs, as `-m` does, which `cli._cli` reads. Output is kept as bytes."""
     script = (
-        "import atexit, runpy, sys\n"
-        "atexit.register(lambda: print(*sys.modules))\n"
+        "import atexit, gc, runpy, sys\n"
+        f"atexit.register(lambda: {at_exit})\n"
         f"sys.argv[1:] = {argv!r}\n"
         "runpy.run_module('antipow.cli', run_name='__main__', alter_sys=True)"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", script], env=ENV, capture_output=True, text=True
-    )
+    return subprocess.run([sys.executable, "-c", script], env=ENV, capture_output=True)
+
+
+def imported_by_entry_point(argv: list[str]) -> set[str]:
+    """Every module in `sys.modules` at the exit of `python -m antipow.cli
+    argv`, the layers loaded by `importlib.import_module` included."""
+    proc = entry_point(argv, "print(*sys.modules)")
     assert proc.returncode == 0, proc.stderr
-    return set(proc.stdout.splitlines()[-1].split())
+    return set(proc.stdout.decode().splitlines()[-1].split())
 
 
 def main_code(argv: list[str]) -> str:
@@ -239,3 +245,40 @@ def test_cli_binds_only_public_names_on_first_read():
     for name in ("no_such_name", "cli", "instructions", "_ORIGIN"):
         with pytest.raises(AttributeError, match="antipow.cli"):
             getattr(antipow.cli, name)
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["construct", "--instructions=(+)", "--order", "3"], 0),
+        # the additivity precheck fails: a domain violation
+        (["delta", "--instructions", "(+)", "--l", "0", "--d", "2", "--m", "2", "--l2", "6",
+          "--d2", "2", "--r", "1"], 1),
+        # the certificate is over the bit budget
+        (["construct", "--instructions", "(+)", "--order", "9"], 2),
+    ],
+    ids=["construct", "delta precheck fails", "construct over budget"],
+)
+def test_process_entry_freezes_the_heap_and_keeps_exit_code_and_stdout(capsys, argv, code):
+    """`cli.run`, the entry of `-m` and of the `antipow` script, exits with
+    main's code after `gc.freeze()`, so the final collection skips the heap;
+    `atexit` handlers still run and see it frozen, and stdout is what
+    in-process `main` prints. In-process `main` freezes nothing."""
+    from antipow.cli import main
+
+    # 0 on most interpreters, but 3.12 starts with a few hundred objects frozen
+    unfrozen = gc.get_freeze_count()
+    proc = entry_point(argv, "print('frozen', gc.get_freeze_count(), file=sys.stderr)")
+    assert proc.returncode == code
+    label, frozen = proc.stderr.decode().splitlines()[-1].split()
+    assert label == "frozen" and int(frozen) > unfrozen
+    assert main(argv) == code
+    assert gc.get_freeze_count() == unfrozen
+    assert proc.stdout == capsys.readouterr().out.encode()
+
+
+def test_console_script_names_the_process_entry():
+    # read as text: Python 3.10 has no tomllib
+    text = (SRC.parent / "pyproject.toml").read_text(encoding="utf-8")
+    scripts = text.split("[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    assert scripts.strip() == 'antipow = "antipow.cli:run"'

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -192,6 +193,37 @@ def test_instruction_sequence_parse_errors():
 
 def test_instruction_sequence_accepts_unicode_minus():
     assert InstructionSequence.parse("(−+)") == InstructionSequence.parse("(-+)")
+
+
+# the PRE(PER) grammar as a regex: the reference `parse` is compared with
+INSTRUCTION_RE = re.compile(r"^([+-]*)\(([+-]+)\)$")
+
+
+@st.composite
+def instruction_texts(draw):
+    """A string the regex matches, with up to two symbols inserted, replaced
+    or deleted."""
+    text = draw(st.from_regex(INSTRUCTION_RE))
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(text)))
+        replace = draw(st.booleans())
+        text = text[:i] + draw(st.sampled_from(["", *"+-−()x \n"])) + text[i + replace:]
+    return text
+
+
+@settings(max_examples=400)
+@given(instruction_texts())
+def test_instruction_sequence_parse_accepts_what_the_regex_accepts(text):
+    """`parse` accepts a string exactly when the regex matches it, once the
+    Unicode minus is replaced and whitespace stripped, and reads the same
+    preperiod and period; every other string raises the same error."""
+    match = INSTRUCTION_RE.match(text.replace("−", "-").strip())
+    if match is None:
+        with pytest.raises(ValueError, match="expected PRE\\(PER\\)"):
+            InstructionSequence.parse(text)
+        return
+    b = InstructionSequence.parse(text)
+    assert str(b) == f"{match[1]}({match[2]})"
 
 
 def test_instruction_sequence_validation():
