@@ -2,9 +2,8 @@
 scanning, and certified synthesis of abelian antipower occurrences.
 
 Submodules and the names below are imported on first access (PEP 562), so
-`import antipow` alone imports no numpy: the instruction and big-integer
-layers (`instructions`, `calculus`, `orders`) never need it, the word layers
-do.
+`import antipow` alone imports none of them, and a program loads only the
+layers it calls. The package needs only the standard library.
 """
 
 from importlib import import_module

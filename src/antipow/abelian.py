@@ -7,49 +7,39 @@ infinite Sierpinski and Thue–Morse words, and the factor complexity of
 Thue–Morse and of every paperfolding word, also have closed forms, which
 read no prefix. The abelian table of a binary prefix follows one bitset of
 starts per live one-count from each n to the next, in Python ints. A
-factor table sorts the prefix once, on rank levels it builds and frees.
-Like `words`, the module imports numpy only inside functions: factor
-tables, abelian tables over three or more letters and the single-n
-functions (`abelian_complexity`, `factor_complexity`) load it.
+factor table reads every row from the suffix automaton of the prefix.
 """
 
 from __future__ import annotations
 
 import io
-from typing import TYPE_CHECKING, NamedTuple
+from itertools import accumulate, islice
+from operator import sub
+from typing import NamedTuple
 
-from .instructions import MAX_ARRAY_LENGTH
 from .words import FiniteWord
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 def parikh(w: FiniteWord) -> tuple[int, ...]:
     """Occurrence count of each alphabet symbol, in alphabet order."""
-    return tuple(int(c) for c in w.cum_counts[len(w)])
+    return tuple(map(w.data.count, range(len(w.alphabet))))
 
 
 def parikh_prefix_table(w: FiniteWord) -> list[tuple[int, ...]]:
     """Entry t is the Parikh vector of the length-t prefix, t = 0..len(w);
     the Parikh vector of any factor is the difference of two entries."""
-    return [tuple(int(c) for c in row) for row in w.cum_counts]
+    return list(zip(*w.cum_counts))
 
 
 def abelian_complexity(w: FiniteWord, n: int) -> int:
     """Number of distinct Parikh vectors among the length-n factors of w."""
-    keys = w.abelian_keys(n)
-    if len(w.alphabet) == 2:
-        # the keys are one-counts, and those of successive windows differ by
-        # at most 1, so they fill the interval between their extremes
-        return int(keys.max() - keys.min()) + 1
-    return int(keys.max()) + 1
+    return len(set(w.abelian_keys(n)))
 
 
 def factor_complexity(w: FiniteWord, n: int) -> int:
     """Number of distinct length-n factors of w: the last row of its factor
     table up to n."""
-    return int(_factor_counts(w, n)[-1])
+    return _factor_counts(w, n)[-1]
 
 
 def is_prefix_normal(w: FiniteWord, letter: str) -> bool:
@@ -57,11 +47,8 @@ def is_prefix_normal(w: FiniteWord, letter: str) -> bool:
     occurrences of `letter` than the length-n prefix does."""
     if letter not in w.alphabet:
         raise ValueError(f"letter {letter!r} not in alphabet")
-    counts = w.cum_counts[:, w.alphabet.index(letter)]
-    for n in range(1, len(w) + 1):
-        if int((counts[n:] - counts[:-n]).max()) > int(counts[n]):
-            return False
-    return True
+    counts = w.cum_counts[w.alphabet.index(letter)]
+    return all(max(map(sub, counts[n:], counts)) <= counts[n] for n in range(1, len(w) + 1))
 
 
 def phi_u(block: FiniteWord) -> int:
@@ -73,7 +60,7 @@ def phi_u(block: FiniteWord) -> int:
         raise ValueError("block length must be a power of two, at least 2")
     if len(block.alphabet) != 2:
         raise ValueError("block must be over a binary alphabet")
-    return int(parikh(block)[1])
+    return parikh(block)[1]
 
 
 def cyclic_shift_spectrum(f: FiniteWord, u: int) -> set[int]:
@@ -95,8 +82,7 @@ def cyclic_shift_spectrum(f: FiniteWord, u: int) -> set[int]:
     if n < u + 2:
         raise ValueError(f"need length >= 2^{u + 2} for block exponent {u}")
     width = 1 << u
-    ones = f.cum_counts[:, 1]
-    values = tuple(int(ones[i + width] - ones[i]) for i in range(0, size, width))
+    values = tuple(sum(f.data[i : i + width]) for i in range(0, size, width))
     return {q for q in range(1, len(values) + 1) if values == values[q:] + values[:q]}
 
 
@@ -131,8 +117,8 @@ class ComplexityTable(
 
 def complexity_table(w: FiniteWord, kind: str, max_n: int) -> ComplexityTable:
     """Table of abelian or factor complexity of w for n = 1..max_n. A factor
-    table comes from one sort of w. An abelian table over two letters steps
-    the bitsets of `_binary_abelian_counts` from n to n + 1, with no numpy;
+    table comes from the suffix automaton of w. An abelian table over two
+    letters steps the bitsets of `_binary_abelian_counts` from n to n + 1;
     over other alphabets it ranks the Parikh vectors of every window, one
     pass per n."""
     if kind not in ("abelian", "factor"):
@@ -140,7 +126,7 @@ def complexity_table(w: FiniteWord, kind: str, max_n: int) -> ComplexityTable:
     if not 1 <= max_n <= len(w):
         raise ValueError(f"max_n {max_n} out of range 1..{len(w)}")
     if kind == "factor":
-        values = _factor_counts(w, max_n).tolist()
+        values = _factor_counts(w, max_n)
     elif len(w.alphabet) == 2:
         values = _binary_abelian_counts(w, max_n)
     else:
@@ -150,7 +136,7 @@ def complexity_table(w: FiniteWord, kind: str, max_n: int) -> ComplexityTable:
 
 def _binary_abelian_counts(w: FiniteWord, max_n: int) -> list[int]:
     """Abelian complexity a(n), n = 1..max_n, of a word over two letters,
-    with no numpy and no pass per n.
+    with no pass per n.
 
     `zeros` and `ones` are the word's `letter_bits`: bit i is set when
     letter i is 0 (is 1). Level c is the bitset of the starts i whose window
@@ -184,66 +170,67 @@ def _binary_abelian_counts(w: FiniteWord, max_n: int) -> list[int]:
     return counts
 
 
-def _pair_keys(level: np.ndarray, off: int) -> np.ndarray:
-    """key[p] = level[p] * len(level) + level[p+off] as int64, with rank 0
-    past the end, for a rank level of a terminated word. Its ranks stay
-    below len(level), so equal keys are exactly equal rank pairs."""
-    import numpy as np
+def _factor_counts(w: FiniteWord, max_n: int) -> list[int]:
+    """Factor complexity p(n), n = 1..max_n, of w, from its suffix automaton
+    (Blumer et al., Theoret. Comput. Sci. 40, 1985).
 
-    keys = level.astype(np.int64)
-    keys *= len(level)
-    keys[: len(level) - off] += level[off:]
-    return keys
-
-
-def _factor_counts(w: FiniteWord, max_n: int) -> np.ndarray:
-    """Factor complexity p(n), n = 1..max_n, of w, from one sort.
-
-    Karp–Miller–Rosenberg level j holds the len+1 int32 ranks, in
-    lexicographic order, of the length-2^j factors at p = 0..len of w padded
-    with terminators, which rank 0, below every letter. The levels up to the
-    largest 2^j <= max_n are built once per call and freed on return. Every
-    position p gets the key of its length-max_n factor in the padded word,
-    so ell_p = min(max_n, len - p) of its letters are real. In sorted
-    order the keys that share their first n letters are contiguous, so each
-    distinct real length-n factor is counted once: at the first key of its
-    run, which has ell >= n and shares fewer than n letters with the key
-    before it. A key sharing lcp letters with its predecessor thus counts
-    for every n in (lcp, ell]."""
-    import numpy as np
+    Each state but the initial one is the class of the factors that end at
+    the same positions of w: one factor of each length from len(link) + 1 to
+    len, its suffix link's length plus one to its own. So p(n) is the number
+    of states whose lengths hold n, and each state adds 1 on its lengths to
+    a difference array. Letters are alphabet indices, so the transitions
+    are one column per letter, in which 0 is no transition, since none
+    leads to the initial state. The automaton has fewer than 2·len + 1
+    states, so index -1 of the `array('i')` columns is past every state; it
+    is nonzero there, and the walks up the suffix links stop at it, the
+    initial state's link. `array` is a shared library, loaded here, so only
+    the commands that count factors on a prefix load it."""
+    from array import array
 
     size = len(w)
     if not 1 <= max_n <= size:
         raise ValueError(f"factor length {max_n} out of range 1..{size}")
-    if size > MAX_ARRAY_LENGTH:
-        raise ValueError(f"rank levels need at most {MAX_ARRAY_LENGTH} letters (MAX_ARRAY_LENGTH)")
-    _, ranks = np.unique(np.frombuffer(w.data, dtype=np.uint8), return_inverse=True)
-    levels = [np.append(ranks + 1, 0).astype(np.int32)]
-    top = max_n.bit_length() - 1
-    for j in range(top):
-        _, ranks = np.unique(_pair_keys(levels[j], 1 << j), return_inverse=True)
-        levels.append(ranks.astype(np.int32))
-    # the length-max_n factor at p is covered by the two overlapping
-    # length-2^top factors at p and p + off
-    off = max_n - (1 << top)
-    keys = _pair_keys(levels[top], off) if off else levels[top]
-    order = np.argsort(keys[:size]).astype(np.int32)
-    # common prefix of each sorted key with the one before it, capped at
-    # max_n, by descending the levels: the two 2^j-blocks after the prefix
-    # found so far are equal exactly when their level-j ranks are. Two
-    # distinct padded suffixes differ at the end of the shorter one, so no
-    # block starts past index len.
-    first, second = order[:-1], order[1:]
-    lcp = np.zeros(size, np.int32)  # the first key has no predecessor
-    common = lcp[1:]
-    for j in range(top, -1, -1):
-        same = levels[j].take(first + common) == levels[j].take(second + common)
-        same &= common <= max_n - (1 << j)
-        common += same.astype(np.int32) << j
-    ell = np.minimum(size - order, max_n)
-    starts = np.bincount(lcp + 1, minlength=max_n + 2)
-    ends = np.bincount(ell + 1, minlength=max_n + 2)
-    return np.cumsum(starts - ends)[1 : max_n + 1]
+    states = 2 * size + 1
+    length = array("i", [0]) * states
+    link = array("i", [0]) * states
+    link[0] = -1
+    columns = [array("i", [0]) * states for _ in w.alphabet]
+    for column in columns:
+        column[-1] = -1
+    # count states are made so far; last is the one of the whole prefix read
+    last, count = 0, 1
+    for end, letter in enumerate(w.data, 1):
+        cur, count = count, count + 1
+        length[cur] = end
+        column = columns[letter]
+        p = last
+        while not column[p]:
+            column[p] = cur
+            p = link[p]
+        # past the initial state, cur keeps its link to it
+        if p >= 0:
+            q = column[p]
+            if length[p] + 1 == length[q]:
+                link[cur] = q
+            else:
+                # q also holds longer factors: split off the ones up to
+                # length[p] + 1 as a clone that takes q's transitions
+                clone, count = count, count + 1
+                length[clone] = length[p] + 1
+                link[clone] = link[q]
+                for other in columns:
+                    other[clone] = other[q]
+                while column[p] == q:
+                    column[p] = clone
+                    p = link[p]
+                link[q] = link[cur] = clone
+        last = cur
+    # entry n - 1 of the running sum counts the states with low < n <= high
+    diff = [0] * (size + 1)
+    for low, high in zip(map(length.__getitem__, islice(link, 1, count)), islice(length, 1, count)):
+        diff[low] += 1
+        diff[high] -= 1
+    return list(islice(accumulate(diff), max_n))
 
 
 def _sierpinski_abelian(n: int) -> int:

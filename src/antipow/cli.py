@@ -24,8 +24,11 @@ collection over every object still alive, whose memory the OS takes back
 anyway; frozen objects are skipped, which cuts the teardown of a
 `construct` process from 8-14 ms to 3-4 ms (2 CPUs, Python 3.10-3.13).
 `atexit` handlers, the flush of stdout and stderr and the exit code are
-kept, which `os._exit` would skip. `main` leaves the collector as it found
-it, for tests and callers in the same process.
+kept, which `os._exit` would skip. `run` also flushes stdout itself: a
+buffered stdout may take the result and fail only at that flush, which
+would otherwise end the process with exit 120 and a traceback instead of
+exit 2 and the OS error. `main` leaves the collector and stdout as it found
+them, for tests and callers in the same process.
 
 Exit codes: 0 success, 1 domain violation (failed precheck), 2 usage,
 parse or output-file error, or an input over a budget, 3 internal
@@ -35,6 +38,7 @@ verification failure.
 from __future__ import annotations
 
 import gc
+import os
 import sys
 from importlib import import_module
 from types import SimpleNamespace
@@ -243,8 +247,18 @@ def main(argv: list[str] | None = None) -> int:
 def run() -> NoReturn:
     """The process entry, of `python -m antipow.cli` and the `antipow`
     script: exit with main's code once the heap is frozen, so the
-    interpreter's final collection skips every object left alive."""
+    interpreter's final collection skips every object left alive. A result
+    that stdout cannot take exits 2, like one whose write fails in main."""
     code = main()
+    try:
+        sys.stdout.flush()
+    except OSError as exc:
+        # a command that already failed has reported why
+        code = code or _fail(str(exc), 2)
+        # the bytes stay in the buffer, so point its descriptor at /dev/null
+        # for the interpreter's own flush at exit
+        with open(os.devnull, "wb") as null:
+            os.dup2(null.fileno(), sys.stdout.fileno())
     gc.freeze()
     raise SystemExit(code)
 

@@ -1,12 +1,11 @@
 """Paperfolding instruction sequences and the closed-form letter oracle.
 
-This module needs no numpy, so the big-integer layer (`calculus`) and the
-commands built on it start without importing it. Every command loads it,
-so it also holds the guard that lifts the interpreter's int/str digit limit
-for big-integer text, the JSON writer of the records the commands print
-(in place of the `json` module, which would cost every such command its
-import) and the three budgets: the bit budget of the big coordinates, the
-prefix budget of the array layers and the row budget of complexity tables.
+Every command loads this module, so it also holds the guard that lifts
+the interpreter's int/str digit limit for big-integer text, the JSON writer
+of the records the commands print (in place of the `json` module, which
+would cost every such command its import) and the three budgets: the bit
+budget of the big coordinates, the letter budget of the word commands and
+the row budget of complexity tables.
 """
 
 from __future__ import annotations
@@ -21,15 +20,16 @@ from typing import NamedTuple
 # 39,359 bits, and their orders from 9 on pass it
 MAX_COMBINED_BITS = 2**20
 
-# the array layers index positions with int32, so every word command refuses
-# longer prefixes before generating one, and the arrays refuse longer words
+# letters of the prefix a word command builds, refused before it generates
+# one, for memory: the prefix takes a byte a letter and its text another, so
+# `generate` peaks at 96 MB for 2^24 letters and would near 12 GB at the budget
 MAX_ARRAY_LENGTH = 2**31 - 1
 
 # rows of a `complexity` table, which is built whole in memory with the
 # prefix it reads: `complexity` refuses a longer --max-n before it computes
 # a cover or a prefix. At 2^20 rows the largest default table, Sierpinski's
-# factor table on its 3^14-letter prefix, peaks at 708 MB, and the abelian
-# tables from a closed form at 175-267 MB
+# factor table from the suffix automaton of its 3^14-letter prefix, peaks
+# at 241 MB through the CLI, and the tables from a closed form at 175-207 MB
 MAX_TABLE_ROWS = 2**20
 
 

@@ -2,7 +2,7 @@
 antipowers in finite words.
 
 The block scans work on Python ints, one bitset per width and cell distance,
-with bit p for the start p; they import no numpy. Word equality at distance
+with bit p for the start p. Word equality at distance
 s holds where `FiniteWord.letter_bits` agree: `OR_a X_a & (X_a >> s)` over
 the letters a, so the length-d factors at p and p + s are equal where that
 mask has a run of d ones, found by doubling ANDs. Abelian equality compares
@@ -88,8 +88,7 @@ def classify_block(w: FiniteWord, split: BlockSplit) -> ClassifyResult:
     base = split.start - 1
     d, m = split.cell_width, split.order
     cells = [w.data[base + i * d : base + (i + 1) * d] for i in range(m)]
-    cum = w.cum_counts
-    vectors = [tuple(int(c) for c in cum[base + (i + 1) * d] - cum[base + i * d]) for i in range(m)]
+    vectors = [tuple(map(cell.count, range(len(w.alphabet)))) for cell in cells]
     words_distinct = len(set(cells))
     vecs_distinct = len(set(vectors))
     return ClassifyResult(

@@ -12,20 +12,17 @@ abelian window keys); every complexity algorithm is in `abelian`.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import TYPE_CHECKING, Mapping
+from itertools import accumulate
+from operator import sub
+from typing import Iterator, Mapping
 
 # REGULAR and paperfolding_letter are re-exported from here
 from .instructions import (
-    MAX_ARRAY_LENGTH,
     PAPERFOLDING_ALPHABET,
     REGULAR,
     InstructionSequence,
     paperfolding_letter,
 )
-
-# only the array methods import numpy, so generating a word does not load it
-if TYPE_CHECKING:
-    import numpy as np
 
 
 def _frozen(self, name: str, *value) -> None:
@@ -96,40 +93,31 @@ class FiniteWord:
             raise ValueError(f"prefix length {n} out of range")
         return FiniteWord(self.alphabet, self.data[:n])
 
+    def _marked(self, marks: bytes) -> Iterator[bytes]:
+        """For each alphabet letter in order, one `bytes.translate` of the
+        word that writes that letter as marks[1] and every other as
+        marks[0]."""
+        indices = bytes(range(len(self.alphabet)))
+        for i in indices:
+            yield self.data.translate(bytes.maketrans(indices, bytes(marks[j == i] for j in indices)))
+
     @cached_property
     def letter_bits(self) -> tuple[int, ...]:
         """One Python int per alphabet letter, in alphabet order, with bit i
-        set exactly when letter i of the word is that letter. Each is one
-        `bytes.translate` of the reversed word to base-2 digits, so no numpy
-        is loaded."""
-        reversed_data = self.data[::-1]
-        indices = bytes(range(len(self.alphabet)))
-        bits = []
-        for i in indices:
-            # letter i to the digit "1", every other letter to "0"
-            digits = bytes.maketrans(indices, bytes(b"01"[j == i] for j in indices))
-            bits.append(int(reversed_data.translate(digits) or b"0", 2))
-        return tuple(bits)
+        set exactly when letter i of the word is that letter: the word
+        written in base 2 with that letter as 1, its first letter lowest."""
+        return tuple(int(digits[::-1] or b"0", 2) for digits in self._marked(b"01"))
 
     @cached_property
-    def cum_counts(self) -> np.ndarray:
-        """(len+1, |alphabet|) cumulative letter counts; row t is the Parikh
-        vector of the prefix of length t. The array is int32 in column-major
-        order, so each letter's column is one contiguous array, and
-        read-only, since every later answer on the word reads it."""
-        import numpy as np
+    def cum_counts(self) -> tuple[tuple[int, ...], ...]:
+        """Cumulative letter counts, one tuple per alphabet letter, in
+        alphabet order: entry t of letter i's tuple is the number of i's in
+        the prefix of length t, so entries t of all letters make its Parikh
+        vector. Tuples, so that no caller can change what every later answer
+        on the word reads."""
+        return tuple(tuple(accumulate(ones, initial=0)) for ones in self._marked(b"\0\1"))
 
-        n = len(self.data)
-        if n > MAX_ARRAY_LENGTH:
-            raise ValueError(f"cumulative counts need at most {MAX_ARRAY_LENGTH} letters (MAX_ARRAY_LENGTH)")
-        arr = np.frombuffer(self.data, dtype=np.uint8)
-        out = np.zeros((n + 1, len(self.alphabet)), dtype=np.int32, order="F")
-        for j in range(len(self.alphabet)):
-            np.cumsum(arr == j, out=out[1:, j])
-        out.flags.writeable = False
-        return out
-
-    def abelian_keys(self, d: int) -> np.ndarray:
+    def abelian_keys(self, d: int) -> list[int]:
         """One integer per length-d factor, in order of position, equal
         exactly when the factors have the same Parikh vector: the count of
         the second letter over a binary alphabet (the length fixes the
@@ -138,11 +126,10 @@ class FiniteWord:
             raise ValueError(f"factor length {d} out of range 1..{len(self)}")
         cum = self.cum_counts
         if len(self.alphabet) == 2:
-            return cum[d:, 1] - cum[:-d, 1]
-        import numpy as np
-
-        _, ranks = np.unique(cum[d:] - cum[:-d], axis=0, return_inverse=True)
-        return ranks
+            return list(map(sub, cum[1][d:], cum[1]))
+        vectors = list(zip(*(map(sub, counts[d:], counts) for counts in cum)))
+        rank = {vector: r for r, vector in enumerate(sorted(set(vectors)))}
+        return list(map(rank.__getitem__, vectors))
 
 
 class Morphism:

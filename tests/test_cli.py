@@ -135,7 +135,7 @@ def test_complexity_default_paperfolding_prefix_holds_every_factor(capsys):
 
 
 def test_complexity_default_sierpinski_factor_table_is_2n_minus_1(capsys):
-    # the one default table that sorts a prefix, the 3^8-letter cover: p(1)
+    # the one default table counted on a prefix, the 3^8-letter cover: p(1)
     # = 2 and p(n) = 2n - 1 after, the data behind a Sierpinski closed form
     code, out, _ = run(capsys, "complexity", "sierpinski", "--kind", "factor", "--max-n", "2187")
     assert code == 0
@@ -157,10 +157,10 @@ def _assert_default_prefixes_cover(word, generate, top):
     returns that reference table, which the callers hold to the published
     count, so it holds every factor of length <= 2^top."""
     # rows up to n do not depend on how far the table goes
-    reference = _factor_counts(generate(16 << top), 2**top).tolist()
+    reference = _factor_counts(generate(16 << top), 2**top)
     for k in range(top + 1):
         prefix = generate(_complexity_word_length(word, 2**k))
-        assert _factor_counts(prefix, 2**k).tolist() == reference[: 2**k], k
+        assert _factor_counts(prefix, 2**k) == reference[: 2**k], k
     return reference
 
 
@@ -235,7 +235,7 @@ def test_complexity_default_abelian_table_generates_no_word(capsys, no_generatio
 
 @pytest.mark.parametrize("kind", ["factor", "abelian"])
 def test_complexity_default_prefix_gets_one_factor_pass_each(capsys, monkeypatch, kind):
-    # a Sierpinski factor query sorts its one cover prefix once; a
+    # a Sierpinski factor query counts its one cover prefix once; a
     # paperfolding one reads its closed form, and an abelian query builds no
     # factor table
     lengths = []
@@ -311,6 +311,27 @@ def test_complexity_thue_morse_length_table_matches_the_benchmark_pin(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "9f13bbd65e59f9f9e46ca9b9301af8d541d231ca86cfce9a39ff06ff45b6a1b1"
     )
+
+
+@pytest.mark.parametrize(
+    "argv, pin",
+    [
+        ("sierpinski --kind factor --max-n 2187",
+         "ff3f1995cc91270e149499b94aa6adbea6f74ec8d51f15b09ca87c132eb886a5"),
+        ("thue-morse --kind factor --max-n 256 --length 1000",
+         "2d56ec42bf31c68956c07223d988940345f703e569d3ab09030f09347d8303df"),
+        ("paperfolding (+) --kind factor --max-n 4096 --length 20000",
+         "5303ff5638716bcb0df9189ccd3088998c833c6dbb26eef73a9748e035777613"),
+    ],
+    ids=["sierpinski cover", "thue-morse length", "paperfolding length"],
+)
+def test_prefix_factor_tables_match_their_pins(capsys, argv, pin):
+    # factor tables counted on a prefix: the Sierpinski cover, which has no
+    # closed form, and two --length prefixes below the cover; the pins were
+    # recorded from the numpy rank-level sort that the suffix automaton replaced
+    code, out, _ = run(capsys, "complexity", *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == pin
 
 
 _AVOIDED = "c9a38d7374b7a6dc23772831be68256f4f925bce24dafe42a86035cba3c6c6ab"

@@ -1,18 +1,15 @@
 """The package's public names load on first use, and `antipow.cli` reads
 them through the package's loader, so each command imports only the layers
 it calls. The big-integer commands (`construct`, `delta`) load no word
-layer. `generate`, `scan` (its masks are Python-int bitsets), every abelian
-`complexity` table of a binary word (from a closed form, or on a prefix,
-with or without `--length`) and the factor tables read from a closed form
-(Thue–Morse and paperfolding without `--length` or with one that holds
-every factor) load no numpy. Only factor tables on a prefix load numpy, and
-no command loads another's layer or `calculus`. Each command loads its own
+layer, no command loads another's layer or `calculus`, and none loads
+numpy, which no module of the package imports. Each command loads its own
 handler module and no other command's, and none loads the per-order
 vocabulary of `orders`; `--help` loads no layer. No command imports
 `dataclasses` or `inspect`, nor `argparse` (with `gettext` and `locale`) or
 `json`: the CLI parses argv from one command table and writes JSON with
 `instructions.json_text`. `python -m antipow.cli` and the `antipow` script
-run `cli.run`, which freezes the heap before it exits; `main` does not."""
+run `cli.run`, which freezes the heap before it exits, and exits 2 when
+stdout cannot take the result; `main` does neither."""
 
 import gc
 import os
@@ -83,13 +80,19 @@ def modules_after(code: str) -> set[str]:
     return {m for m in imported_by(code) if m == "numpy" or m.startswith("antipow.")}
 
 
-def entry_point(argv: list[str], at_exit: str) -> subprocess.CompletedProcess:
-    """Run `python -m antipow.cli argv` in a fresh interpreter, with the
-    expression `at_exit` registered as the first `atexit` handler, so it
-    runs after any other. `alter_sys` makes the module `__main__` while it
-    runs, as `-m` does, which `cli._cli` reads. Output is kept as bytes."""
+# run first in a fresh interpreter, it makes every `import numpy` raise
+# ImportError, as where numpy is not installed
+NO_NUMPY = "import sys\nsys.modules['numpy'] = None\n"
+
+
+def entry_point(argv: list[str], at_exit: str, before: str = "") -> subprocess.CompletedProcess:
+    """Run `python -m antipow.cli argv` in a fresh interpreter, after the
+    code `before` and with the expression `at_exit` registered as the first
+    `atexit` handler, so it runs after any other. `alter_sys` makes the
+    module `__main__` while it runs, as `-m` does, which `cli._cli` reads.
+    Output is kept as bytes."""
     script = (
-        "import atexit, gc, runpy, sys\n"
+        f"{before}import atexit, gc, runpy, sys\n"
         f"atexit.register(lambda: {at_exit})\n"
         f"sys.argv[1:] = {argv!r}\n"
         "runpy.run_module('antipow.cli', run_name='__main__', alter_sys=True)"
@@ -110,27 +113,30 @@ def main_code(argv: list[str]) -> str:
 
 
 @pytest.mark.parametrize(
-    "code, imported",
+    "code",
     [
-        ("import antipow", False),
-        ("import antipow.cli", False),
-        ("import antipow\nantipow.InstructionSequence.parse('(+)')", False),
-        (main_code(DELTA), False),
-        (main_code(CONSTRUCT), False),
-        (main_code(GENERATE), False),
-        (main_code(COMPLEXITY_THUE_MORSE), False),
-        (main_code(COMPLEXITY_PAPERFOLDING), False),
-        (main_code(COMPLEXITY_LENGTH_THUE_MORSE), False),
-        (main_code(COMPLEXITY_FACTOR), True),
-        (main_code(SCAN), False),
-        (main_code(SCAN_PAPERFOLDING), False),
+        "import antipow",
+        "import antipow.cli",
+        "import antipow\nantipow.InstructionSequence.parse('(+)')",
+        main_code(DELTA),
+        main_code(CONSTRUCT),
+        main_code(GENERATE),
+        main_code(COMPLEXITY_THUE_MORSE),
+        main_code(COMPLEXITY_PAPERFOLDING),
+        main_code(COMPLEXITY_LENGTH_THUE_MORSE),
+        main_code(COMPLEXITY_FACTOR),
+        main_code(SCAN),
+        main_code(SCAN_PAPERFOLDING),
     ],
     ids=["import", "import cli", "instructions", "main delta", "main construct", "main generate",
          "main complexity", "main complexity paperfolding", "main complexity thue-morse length",
          "main complexity factor", "main scan", "main scan paperfolding"],
 )
-def test_numpy_is_imported_only_by_the_word_layers(code, imported):
-    assert ("numpy" in modules_after(code)) is imported
+def test_numpy_is_imported_only_by_the_word_layers(code):
+    """No layer imports numpy, the word layers included: the imports and
+    commands run to the end where `import numpy` fails."""
+    proc = subprocess.run([sys.executable, "-c", NO_NUMPY + code], env=ENV, capture_output=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 # what each command loads besides `antipow` (or `antipow.cli`) and
@@ -138,29 +144,35 @@ def test_numpy_is_imported_only_by_the_word_layers(code, imported):
 # `cli_delta` or `cli_help`; `construct`'s handler is in `cli` itself. No
 # command loads another command's handler module or `orders`
 LOADED = [
+    (GENERATE, {"words", "cli_words"}),
+    (GENERATE_THUE_MORSE, {"words", "cli_words"}),
     (GENERATE_PAPERFOLDING, {"words", "cli_words"}),
     (COMPLEXITY, {"words", "abelian", "cli_words"}),
+    (COMPLEXITY_PREFIX, {"words", "abelian", "cli_words"}),
     (COMPLEXITY_PAPERFOLDING, {"words", "abelian", "cli_words"}),
     (COMPLEXITY_LENGTH_THUE_MORSE, {"words", "abelian", "cli_words"}),
-    (COMPLEXITY_FACTOR, {"words", "abelian", "numpy", "cli_words"}),
+    (COMPLEXITY_FACTOR, {"words", "abelian", "cli_words"}),
     (COMPLEXITY_FACTOR_THUE_MORSE, {"words", "abelian", "cli_words"}),
     (COMPLEXITY_FACTOR_PAPERFOLDING, {"words", "abelian", "cli_words"}),
     (SCAN, {"words", "scan", "cli_words"}),
+    (SCAN_AVOIDANCE, {"words", "scan", "cli_words"}),
     (SCAN_PAPERFOLDING, {"words", "scan", "cli_words"}),
     (CONSTRUCT, {"calculus"}),
     (DELTA, {"calculus", "cli_delta"}),
     (["--help"], {"cli_help"}),
     (["scan", "--help"], {"cli_help"}),
 ]
-LOADED_IDS = ["generate", "complexity", "complexity paperfolding", "complexity thue-morse length",
+LOADED_IDS = ["generate sierpinski", "generate thue-morse", "generate", "complexity",
+              "complexity prefix", "complexity paperfolding", "complexity thue-morse length",
               "complexity factor", "complexity factor thue-morse", "complexity factor paperfolding",
-              "scan", "scan paperfolding", "construct", "delta", "help", "scan help"]
+              "scan", "scan avoidance", "scan paperfolding", "construct", "delta", "help",
+              "scan help"]
 
 
 @pytest.mark.parametrize("argv, layers", LOADED, ids=LOADED_IDS)
 def test_each_command_imports_only_the_layers_it_calls(argv, layers):
     expected = {"antipow.cli", "antipow.instructions"}
-    expected |= {name if name == "numpy" else f"antipow.{name}" for name in layers}
+    expected |= {f"antipow.{name}" for name in layers}
     assert modules_after(main_code(argv)) == expected
 
 
@@ -169,28 +181,29 @@ def test_entry_point_imports_only_the_layers_each_command_calls(argv, layers):
     """As `python -m antipow.cli`, which runs cli as `__main__`, so the
     package never imports `antipow.cli` itself."""
     expected = {"antipow", "antipow.instructions"}
-    expected |= {name if name == "numpy" else f"antipow.{name}" for name in layers}
+    expected |= {f"antipow.{name}" for name in layers}
     modules = imported_by_entry_point(argv)
     assert {m for m in modules if m == "numpy" or m.split(".")[0] == "antipow"} == expected
 
 
 @pytest.mark.parametrize(
-    "argv, imported",
+    "argv",
     [
-        (DELTA, False), (CONSTRUCT, False), (GENERATE, False), (GENERATE_THUE_MORSE, False),
-        (GENERATE_PAPERFOLDING, False), (COMPLEXITY, False), (COMPLEXITY_THUE_MORSE, False),
-        (COMPLEXITY_PAPERFOLDING, False), (COMPLEXITY_PREFIX, False),
-        (COMPLEXITY_LENGTH_THUE_MORSE, False), (COMPLEXITY_FACTOR, True),
-        (COMPLEXITY_FACTOR_THUE_MORSE, False), (COMPLEXITY_FACTOR_PAPERFOLDING, False), (SCAN, False),
-        (SCAN_PAPERFOLDING, False),
+        DELTA, CONSTRUCT, GENERATE, GENERATE_THUE_MORSE, GENERATE_PAPERFOLDING, COMPLEXITY,
+        COMPLEXITY_THUE_MORSE, COMPLEXITY_PAPERFOLDING, COMPLEXITY_PREFIX,
+        COMPLEXITY_LENGTH_THUE_MORSE, COMPLEXITY_FACTOR, COMPLEXITY_FACTOR_THUE_MORSE,
+        COMPLEXITY_FACTOR_PAPERFOLDING, SCAN, SCAN_PAPERFOLDING,
     ],
     ids=["delta", "construct", "generate", "generate thue-morse", "generate paperfolding",
          "complexity", "complexity thue-morse", "complexity paperfolding", "complexity prefix",
          "complexity thue-morse length", "complexity factor", "complexity factor thue-morse",
          "complexity factor paperfolding", "scan", "scan paperfolding"],
 )
-def test_module_entry_point_imports_numpy_only_for_word_commands(argv, imported):
-    assert ("numpy" in imported_by_entry_point(argv)) is imported
+def test_module_entry_point_imports_numpy_only_for_word_commands(argv):
+    """No command imports numpy, the word commands included: each runs to
+    the end through `python -m antipow.cli` where `import numpy` fails."""
+    proc = entry_point(argv, "None", NO_NUMPY)
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize(
@@ -282,3 +295,19 @@ def test_console_script_names_the_process_entry():
     text = (SRC.parent / "pyproject.toml").read_text(encoding="utf-8")
     scripts = text.split("[project.scripts]\n", 1)[1].split("\n[", 1)[0]
     assert scripts.strip() == 'antipow = "antipow.cli:run"'
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("length", [100, 2**20])
+def test_a_failed_write_through_a_buffered_stdout_exits_2(length):
+    """With stdout buffered, a short result fails only when `run` flushes
+    it, a long one already in main's write; either way the process exits 2
+    with one line naming the OS error, and the interpreter's own flush at
+    exit finds nothing left to fail on."""
+    env = {key: value for key, value in ENV.items() if key != "PYTHONUNBUFFERED"}
+    argv = ["generate", "sierpinski", "--length", str(length)]
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run([sys.executable, "-m", "antipow.cli", *argv], env=env,
+                              stdout=full, stderr=subprocess.PIPE, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: [Errno 28] No space left on device\n"

@@ -4,7 +4,6 @@ import re
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-import antipow.abelian
 from antipow import (
     FiniteWord,
     InstructionSequence,
@@ -20,7 +19,6 @@ from antipow import (
     sierpinski_prefix,
     toeplitz_paperfolding_prefix,
 )
-from antipow.abelian import _factor_counts
 
 REGULAR_32 = "00100110001101100010011100110110"
 
@@ -280,65 +278,21 @@ def test_letter_bits_set_bit_i_for_letter_i(letters, data):
         assert x == sum(1 << i for i, c in enumerate(w.data) if c == letter)
 
 
-def test_rank_levels_are_exact_and_built_only_up_to_the_level_read(monkeypatch):
-    # a factor table up to n builds the levels up to the largest 2^j <= n:
-    # one doubling, at offset 2^i, from each level i < j, and one more pair
-    # of level-j ranks at offset n - 2^j when n is not a power of two
-    offsets, pair_keys = [], antipow.abelian._pair_keys
-
-    def recorded(level, off):
-        offsets.append(off)
-        return pair_keys(level, off)
-
-    monkeypatch.setattr(antipow.abelian, "_pair_keys", recorded)
-    w = toeplitz_paperfolding_prefix(REGULAR, 300)
-    for j in range(9):
-        offsets.clear()
-        counts = _factor_counts(w, 1 << j).tolist()
-        assert offsets == [1 << i for i in range(j)]
-        for i in range(j + 1):
-            n = 1 << i
-            assert counts[n - 1] == len({w.data[p : p + n] for p in range(len(w) - n + 1)})
-    offsets.clear()
-    _factor_counts(w, 300)
-    assert offsets == [1 << i for i in range(8)] + [300 - 256]
-
-
 def test_cached_arrays_are_read_only():
     # every later answer on the word reads the cached counts, so a caller's
     # write into them must fail instead of changing those answers; factor
-    # tables build their rank levels per call and keep none on the word
+    # tables build their suffix automaton per call and keep none on the word
     w = toeplitz_paperfolding_prefix(REGULAR, 64)
     answers = lambda: (abelian_complexity(w, 5), factor_complexity(w, 8),
                        find_first(w, 2, "antipower"), find_first(w, 3, "abelian_power"))
     before = answers()
-    with pytest.raises(ValueError, match="read-only"):
-        w.cum_counts[0] = 1
+    with pytest.raises(TypeError, match="does not support item assignment"):
+        w.cum_counts[0] = (1,) * 65
+    with pytest.raises(TypeError, match="does not support item assignment"):
+        w.cum_counts[1][0] = 1
     assert set(vars(w)) == {"alphabet", "data", "cum_counts", "letter_bits"}
     assert answers() == before
     assert before[1] == 32
-
-
-def test_rank_levels_refuse_sequences_whose_pair_keys_overflow():
-    class LongWord(FiniteWord):
-        # a length of 2^31 without allocating the letters
-        def __len__(self):
-            return 2**31
-
-    w = LongWord(("a", "b"), b"\x00")
-    for max_n in (1, 2):
-        with pytest.raises(ValueError, match="at most 2147483647 letters \\(MAX_ARRAY_LENGTH\\)"):
-            _factor_counts(w, max_n)
-
-
-def test_array_methods_refuse_words_over_the_prefix_budget(monkeypatch):
-    # each array layer reads the budget from its own module
-    monkeypatch.setattr("antipow.words.MAX_ARRAY_LENGTH", 63)
-    monkeypatch.setattr("antipow.abelian.MAX_ARRAY_LENGTH", 63)
-    for read in (lambda w: w.cum_counts, lambda w: _factor_counts(w, 1)):
-        read(toeplitz_paperfolding_prefix(REGULAR, 63))
-        with pytest.raises(ValueError, match="at most 63 letters \\(MAX_ARRAY_LENGTH\\)"):
-            read(toeplitz_paperfolding_prefix(REGULAR, 64))
 
 
 def test_random_instruction_sequences_oracle_consistency():
