@@ -317,9 +317,7 @@ def words_and_table_sizes(draw):
 
 @settings(max_examples=300)
 @given(case=words_and_table_sizes())
-# repetitive tails give sorted neighbours that agree up to the end of the
-# shorter suffix, so the common-prefix descent reads the terminator at
-# index len; N is not a power of two
+# periodic words and tails, and N not a power of two
 @example(case=(FiniteWord.from_text("a" * 9, ("a", "b")), 3))
 @example(case=(FiniteWord.from_text("ab" * 6, ("a", "b")), 7))
 @example(case=(FiniteWord.from_text("aab" * 4 + "aa", ABC), 11))
