@@ -2,12 +2,14 @@
 block classing of power-of-two factors and their cyclic-shift spectra.
 
 Every complexity algorithm of the package is here, on top of the views of
-a word that `words.FiniteWord` holds. The abelian complexity of the
-infinite Sierpinski and Thue–Morse words, and the factor complexity of
-Thue–Morse and of every paperfolding word, also have closed forms, which
-read no prefix. The abelian table of a binary prefix follows one bitset of
-starts per live one-count from each n to the next, in Python ints. A
-factor table reads every row from the suffix automaton of the prefix.
+a word that `words.FiniteWord` holds. The words are over two letters, so a
+factor's Parikh vector is fixed by its length and its one-count. The
+abelian complexity of the infinite Sierpinski and Thue–Morse words, and the
+factor complexity of Thue–Morse and of every paperfolding word, also have
+closed forms, which read no prefix. The abelian table of a prefix follows
+one bitset of starts per live one-count from each n to the next, in Python
+ints. A factor table reads every row from the suffix automaton of the
+prefix.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ from .words import FiniteWord
 
 
 def parikh(w: FiniteWord) -> tuple[int, ...]:
-    """Occurrence count of each alphabet symbol, in alphabet order."""
-    return tuple(map(w.data.count, range(len(w.alphabet))))
+    """Occurrence count of each of the two letters, in alphabet order."""
+    return tuple(map(w.data.count, b"\0\1"))
 
 
 def parikh_prefix_table(w: FiniteWord) -> list[tuple[int, ...]]:
@@ -52,14 +54,12 @@ def is_prefix_normal(w: FiniteWord, letter: str) -> bool:
 
 
 def phi_u(block: FiniteWord) -> int:
-    """Abelian class of a block of length 2^u (u >= 1) over {0,1}: its count
-    of ones. For u = 1 the classes 0/1/2 are the three abelian classes of
-    two-letter binary blocks."""
+    """Abelian class of a block of length 2^u (u >= 1): its count of ones.
+    For u = 1 the classes 0/1/2 are the three abelian classes of two-letter
+    blocks."""
     size = len(block)
     if size < 2 or size & (size - 1):
         raise ValueError("block length must be a power of two, at least 2")
-    if len(block.alphabet) != 2:
-        raise ValueError("block must be over a binary alphabet")
     return parikh(block)[1]
 
 
@@ -67,12 +67,10 @@ def cyclic_shift_spectrum(f: FiniteWord, u: int) -> set[int]:
     """Shifts q in 1..2^{n-u} by which the sequence of block classes of f
     (cut into consecutive blocks of length 2^u) equals its own rotation.
 
-    f must be over a binary alphabet, where a block's class is its count of
-    ones (`phi_u`), and have length 2^n with n >= u+2. The block count is
-    always in the spectrum; for paperfolding factors it is the only member.
+    A block's class is its count of ones (`phi_u`), and f must have length
+    2^n with n >= u+2. The block count is always in the spectrum; for
+    paperfolding factors it is the only member.
     """
-    if len(f.alphabet) != 2:
-        raise ValueError("word must be over a binary alphabet")
     if u < 1:
         raise ValueError("block exponent must be >= 1")
     size = len(f)
@@ -117,26 +115,21 @@ class ComplexityTable(
 
 def complexity_table(w: FiniteWord, kind: str, max_n: int) -> ComplexityTable:
     """Table of abelian or factor complexity of w for n = 1..max_n. A factor
-    table comes from the suffix automaton of w. An abelian table over two
-    letters steps the bitsets of `_binary_abelian_counts` from n to n + 1;
-    over other alphabets it ranks the Parikh vectors of every window, one
-    pass per n."""
+    table comes from the suffix automaton of w, an abelian table from the
+    bitsets that `_binary_abelian_counts` steps from n to n + 1."""
     if kind not in ("abelian", "factor"):
         raise ValueError(f"unknown complexity kind {kind!r}")
     if not 1 <= max_n <= len(w):
         raise ValueError(f"max_n {max_n} out of range 1..{len(w)}")
     if kind == "factor":
         values = _factor_counts(w, max_n)
-    elif len(w.alphabet) == 2:
-        values = _binary_abelian_counts(w, max_n)
     else:
-        values = [abelian_complexity(w, n) for n in range(1, max_n + 1)]
+        values = _binary_abelian_counts(w, max_n)
     return ComplexityTable(kind, tuple(zip(range(1, max_n + 1), values)))
 
 
 def _binary_abelian_counts(w: FiniteWord, max_n: int) -> list[int]:
-    """Abelian complexity a(n), n = 1..max_n, of a word over two letters,
-    with no pass per n.
+    """Abelian complexity a(n), n = 1..max_n, of w, with no pass per n.
 
     `zeros` and `ones` are the word's `letter_bits`: bit i is set when
     letter i is 0 (is 1). Level c is the bitset of the starts i whose window

@@ -4,12 +4,12 @@ antipowers in finite words.
 The block scans work on Python ints, one bitset per width and cell distance,
 with bit p for the start p. Word equality at distance
 s holds where `FiniteWord.letter_bits` agree: `OR_a X_a & (X_a >> s)` over
-the letters a, so the length-d factors at p and p + s are equal where that
-mask has a run of d ones, found by doubling ANDs. Abelian equality compares
-window counts held bit-sliced, one bitset per bit of the count, for each
-letter but the last; they step from d to d + 1 by a ripple-carry add, and
-two windows at distance s are equal where no plane differs from its own
-shift by s. Equality is transitive, so a split is an m-power exactly when
+the two letters a, so the length-d factors at p and p + s are equal where
+that mask has a run of d ones, found by doubling ANDs. Abelian equality
+compares the counts of the first letter in each window, held bit-sliced,
+one bitset per bit of the count: the window length fixes the other
+letter's. They step from d to d + 1 by a ripple-carry add, and two windows
+at distance s are equal where no plane differs from its own shift by s. Equality is transitive, so a split is an m-power exactly when
 its m - 1 adjacent cells are equal; as words, that is where letters d apart
 agree over a run of (m - 1) d positions. An m-antipower needs cells i and
 i + gap to differ for every gap. A run of r >= 3d - 1 copies of one letter
@@ -88,9 +88,9 @@ def classify_block(w: FiniteWord, split: BlockSplit) -> ClassifyResult:
     base = split.start - 1
     d, m = split.cell_width, split.order
     cells = [w.data[base + i * d : base + (i + 1) * d] for i in range(m)]
-    vectors = [tuple(map(cell.count, range(len(w.alphabet)))) for cell in cells]
+    # over two letters a cell's Parikh vector is fixed by its one-count
     words_distinct = len(set(cells))
-    vecs_distinct = len(set(vectors))
+    vecs_distinct = len({cell.count(1) for cell in cells})
     return ClassifyResult(
         is_power=words_distinct == 1,
         is_abelian_power=vecs_distinct == 1,
@@ -162,17 +162,13 @@ def _cell_equality(w: FiniteWord, abelian: bool) -> Iterator[Callable[..., int]]
     if not abelian:
         for d in count(1):
             yield partial(_word_same, letters, d)
-    # the window length fixes the count of the last letter
-    counts = [_window_counts(letter) for letter in letters[:-1]]
+    # the window length fixes the count of the second letter
+    counts = _window_counts(letters[0])
     n = len(w)
     for d in count(1):
-        planes = ()
-        for letter in counts:
-            planes += next(letter)
-        yield partial(_abelian_same, planes, n - d + 1)
+        yield partial(_abelian_same, next(counts), n - d + 1)
 
 
-# letters are byte indices and index 10 is b"\n", which "." takes only with DOTALL
 _RUN = rb"(.)\1{4,}"
 
 
@@ -181,11 +177,11 @@ def _one_letter_runs(w: FiniteWord) -> list[tuple[int, int]]:
     letter in w, in order of start; a cheap `in` per letter skips the search
     when there is none. `_RUN` is compiled, and `re` imported, only here, on
     first use: power scans and words without such a run never pay for it."""
-    if not any(bytes([a]) * 5 in w.data for a in range(len(w.alphabet))):
+    if b"\0" * 5 not in w.data and b"\1" * 5 not in w.data:
         return []
     import re
 
-    return [(run.start(), len(run[0])) for run in re.finditer(_RUN, w.data, re.DOTALL)]
+    return [(run.start(), len(run[0])) for run in re.finditer(_RUN, w.data)]
 
 
 def _settled_through(runs: list[tuple[int, int]], d: int, m: int, stop: int) -> int:

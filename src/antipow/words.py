@@ -5,8 +5,10 @@ that one can validate the other: iterated morphisms / Toeplitz hole-filling
 on one side, closed-form letter oracles (`instructions.paperfolding_letter`
 for paperfolding words) on the other.
 
-`FiniteWord` holds only views of a word (letter bitsets, cumulative counts,
-abelian window keys); every complexity algorithm is in `abelian`.
+Every word here is over two letters, stored as the bytes 0 and 1, and
+every morphism is uniform. `FiniteWord` holds only views of a word (its two
+letter bitsets, cumulative counts, abelian window keys); every complexity
+algorithm is in `abelian`.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 from functools import cached_property
 from itertools import accumulate
 from operator import sub
-from typing import Iterator, Mapping
+from typing import Mapping
 
 # REGULAR and paperfolding_letter are re-exported from here
 from .instructions import (
@@ -30,28 +32,33 @@ def _frozen(self, name: str, *value) -> None:
     raise AttributeError(f"cannot assign to or delete field {name!r}")
 
 
-class FiniteWord:
-    """Immutable finite word over a small ordered alphabet.
+# the letters 0 and 1 as the base-2 digits that `int` reads, and swapped
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
+_SWAP = bytes.maketrans(b"\0\1", b"\1\0")
 
-    Letters are stored as alphabet indices, one byte each. The cached views
-    below live in the instance `__dict__`; the fields are set once, here.
+
+class FiniteWord:
+    """Immutable finite word over an ordered alphabet of two letters.
+
+    Letters are stored as alphabet indices, 0 or 1, one byte each. The
+    fields are set once, here, from copies of the arguments, so a caller's
+    later write into its own buffer or list changes no word; the cached
+    views below live in the instance `__dict__`.
     """
 
-    alphabet: tuple[str, ...]
+    alphabet: tuple[str, str]
     data: bytes
 
-    def __init__(self, alphabet: tuple[str, ...], data: bytes) -> None:
-        if not alphabet:
-            raise ValueError("alphabet must be nonempty")
-        if len(set(alphabet)) != len(alphabet):
-            raise ValueError("alphabet symbols must be distinct")
-        if any(len(s) != 1 for s in alphabet):
-            raise ValueError("alphabet symbols must be single characters")
-        # deleting every valid index in C leaves only the out-of-range letters
-        if data.translate(None, bytes(range(len(alphabet)))):
+    def __init__(self, alphabet: tuple[str, str], data: bytes) -> None:
+        alphabet = tuple(alphabet)
+        if len(alphabet) != 2 or alphabet[0] == alphabet[1] or any(len(s) != 1 for s in alphabet):
+            raise ValueError("alphabet must be two distinct single characters")
+        # deleting both letters in C leaves only the out-of-range ones
+        if data.translate(None, b"\0\1"):
             raise ValueError("letter index out of range for alphabet")
+        # `tuple` and `bytes` return a tuple or a bytes argument itself, with no copy
         object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "data", data)
+        object.__setattr__(self, "data", bytes(data))
 
     __setattr__ = __delattr__ = _frozen
 
@@ -67,7 +74,7 @@ class FiniteWord:
         return hash((self.alphabet, self.data))
 
     @classmethod
-    def from_text(cls, text: str, alphabet: tuple[str, ...]) -> "FiniteWord":
+    def from_text(cls, text: str, alphabet: tuple[str, str]) -> "FiniteWord":
         index = {ch: i for i, ch in enumerate(alphabet)}
         try:
             return cls(alphabet, bytes(index[ch] for ch in text))
@@ -83,9 +90,7 @@ class FiniteWord:
         return self.data[i]
 
     def __str__(self) -> str:
-        table = bytes.maketrans(
-            bytes(range(len(self.alphabet))), "".join(self.alphabet).encode("ascii")
-        )
+        table = bytes.maketrans(b"\0\1", "".join(self.alphabet).encode("ascii"))
         return self.data.translate(table).decode("ascii")
 
     def prefix(self, n: int) -> "FiniteWord":
@@ -93,43 +98,35 @@ class FiniteWord:
             raise ValueError(f"prefix length {n} out of range")
         return FiniteWord(self.alphabet, self.data[:n])
 
-    def _marked(self, marks: bytes) -> Iterator[bytes]:
-        """For each alphabet letter in order, one `bytes.translate` of the
-        word that writes that letter as marks[1] and every other as
-        marks[0]."""
-        indices = bytes(range(len(self.alphabet)))
-        for i in indices:
-            yield self.data.translate(bytes.maketrans(indices, bytes(marks[j == i] for j in indices)))
+    @cached_property
+    def letter_bits(self) -> tuple[int, int]:
+        """The bitsets (zeros, ones) of the word: bit i of each is set
+        exactly when letter i is that letter. `ones` is the word written in
+        base 2, its first letter lowest, and `zeros` its complement on the
+        word's length."""
+        ones = int(self.data[::-1].translate(_DIGITS) or b"0", 2)
+        return ones ^ (1 << len(self)) - 1, ones
 
     @cached_property
-    def letter_bits(self) -> tuple[int, ...]:
-        """One Python int per alphabet letter, in alphabet order, with bit i
-        set exactly when letter i of the word is that letter: the word
-        written in base 2 with that letter as 1, its first letter lowest."""
-        return tuple(int(digits[::-1] or b"0", 2) for digits in self._marked(b"01"))
-
-    @cached_property
-    def cum_counts(self) -> tuple[tuple[int, ...], ...]:
-        """Cumulative letter counts, one tuple per alphabet letter, in
-        alphabet order: entry t of letter i's tuple is the number of i's in
-        the prefix of length t, so entries t of all letters make its Parikh
-        vector. Tuples, so that no caller can change what every later answer
-        on the word reads."""
-        return tuple(tuple(accumulate(ones, initial=0)) for ones in self._marked(b"\0\1"))
+    def cum_counts(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Cumulative letter counts, one tuple per letter, in alphabet
+        order: entry t of letter i's tuple is the number of i's in the prefix
+        of length t, so entries t of both make its Parikh vector. The
+        letters are the bytes 0 and 1, so the ones are a running sum of the
+        word, and the zeros one of the word with its letters swapped.
+        Tuples, so that no caller can change what every later answer on the
+        word reads."""
+        zeros = accumulate(self.data.translate(_SWAP), initial=0)
+        return tuple(zeros), tuple(accumulate(self.data, initial=0))
 
     def abelian_keys(self, d: int) -> list[int]:
         """One integer per length-d factor, in order of position, equal
-        exactly when the factors have the same Parikh vector: the count of
-        the second letter over a binary alphabet (the length fixes the
-        rest), otherwise the dense rank of the Parikh vector."""
+        exactly when the factors have the same Parikh vector: its count of
+        the second letter, since the length fixes the first."""
         if not 1 <= d <= len(self):
             raise ValueError(f"factor length {d} out of range 1..{len(self)}")
-        cum = self.cum_counts
-        if len(self.alphabet) == 2:
-            return list(map(sub, cum[1][d:], cum[1]))
-        vectors = list(zip(*(map(sub, counts[d:], counts) for counts in cum)))
-        rank = {vector: r for r, vector in enumerate(sorted(set(vectors)))}
-        return list(map(rank.__getitem__, vectors))
+        ones = self.cum_counts[1]
+        return list(map(sub, ones[d:], ones))
 
 
 class Morphism:
@@ -168,12 +165,11 @@ THUE_MORSE_MORPHISM = Morphism({"0": "01", "1": "10"})
 
 
 def morphism_prefix(m: Morphism, seed: str, n: int) -> FiniteWord:
-    """First n letters of the fixed point of m starting from seed.
-
-    A uniform morphism, whose images all have one length r >= 2 (Thue–Morse,
-    Sierpinski), is applied to letter indices in bytes: letter t of every
+    """First n letters of the fixed point of m starting from seed, for a
+    uniform morphism m, whose images all have one length r >= 2 (Thue–Morse,
+    Sierpinski). It is applied to letter indices in bytes: letter t of every
     image is one `bytes.translate` of the word, written to every r-th
-    position from t. Other morphisms are applied to text."""
+    position from t."""
     if n < 1:
         raise ValueError("prefix length must be >= 1")
     rule = m.rules.get(seed)
@@ -181,29 +177,23 @@ def morphism_prefix(m: Morphism, seed: str, n: int) -> FiniteWord:
         raise ValueError(f"seed {seed!r} has no rule")
     if not rule.startswith(seed):
         raise ValueError(f"seed {seed!r} is not prolongable: rule does not start with it")
-    alphabet = m.alphabet
     r = len(rule)
-    if r >= 2 and all(len(image) == r for image in m.rules.values()):
-        index = {ch: i for i, ch in enumerate(alphabet)}
-        letters = bytes(range(len(alphabet)))
-        tables = [
-            bytes.maketrans(letters, bytes(index[m.rules[ch][t]] for ch in alphabet))
-            for t in range(r)
-        ]
-        data = bytearray((index[seed],))
-        while len(data) < n:
-            grown = bytearray(r * len(data))
-            for t, table in enumerate(tables):
-                grown[t::r] = data.translate(table)
-            data = grown
-        return FiniteWord(alphabet, bytes(data[:n]))
-    word = seed
-    while len(word) < n:
-        grown = m.apply(word)
-        if len(grown) == len(word):
-            raise ValueError("morphism does not expand from seed; no infinite fixed point")
-        word = grown
-    return FiniteWord.from_text(word[:n], alphabet)
+    if r < 2 or any(len(image) != r for image in m.rules.values()):
+        raise ValueError("morphism is not uniform: its images need one length r >= 2")
+    alphabet = m.alphabet
+    index = {ch: i for i, ch in enumerate(alphabet)}
+    letters = bytes(range(len(alphabet)))
+    tables = [
+        bytes.maketrans(letters, bytes(index[m.rules[ch][t]] for ch in alphabet))
+        for t in range(r)
+    ]
+    data = bytearray((index[seed],))
+    while len(data) < n:
+        grown = bytearray(r * len(data))
+        for t, table in enumerate(tables):
+            grown[t::r] = data.translate(table)
+        data = grown
+    return FiniteWord(alphabet, data[:n])
 
 
 def sierpinski_prefix(n: int) -> FiniteWord:
@@ -237,4 +227,4 @@ def toeplitz_paperfolding_prefix(b: InstructionSequence, n: int) -> FiniteWord:
         start, step = ((2 + b.at(k)) << k) - 1, 1 << (k + 2)
         buf[start::step] = ones[: len(range(start, n, step))]
         k += 1
-    return FiniteWord(PAPERFOLDING_ALPHABET, bytes(buf))
+    return FiniteWord(PAPERFOLDING_ALPHABET, buf)
