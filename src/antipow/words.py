@@ -37,8 +37,16 @@ _DIGITS = bytes.maketrans(b"\0\1", b"01")
 _SWAP = bytes.maketrans(b"\0\1", b"\1\0")
 
 
+def _check_alphabet(alphabet: tuple[str, ...]) -> None:
+    """Refuse all but two distinct single characters, and any not ASCII,
+    which `FiniteWord.__str__` encodes."""
+    if (len(alphabet) != 2 or alphabet[0] == alphabet[1]
+            or any(len(s) != 1 or not s.isascii() for s in alphabet)):
+        raise ValueError("alphabet must be two distinct single characters")
+
+
 class FiniteWord:
-    """Immutable finite word over an ordered alphabet of two letters.
+    """Immutable finite word over an ordered alphabet of two ASCII letters.
 
     Letters are stored as alphabet indices, 0 or 1, one byte each. The
     fields are set once, here, from copies of the arguments, so a caller's
@@ -51,8 +59,7 @@ class FiniteWord:
 
     def __init__(self, alphabet: tuple[str, str], data: bytes) -> None:
         alphabet = tuple(alphabet)
-        if len(alphabet) != 2 or alphabet[0] == alphabet[1] or any(len(s) != 1 for s in alphabet):
-            raise ValueError("alphabet must be two distinct single characters")
+        _check_alphabet(alphabet)
         # deleting both letters in C leaves only the out-of-range ones
         if data.translate(None, b"\0\1"):
             raise ValueError("letter index out of range for alphabet")
@@ -166,10 +173,10 @@ THUE_MORSE_MORPHISM = Morphism({"0": "01", "1": "10"})
 
 def morphism_prefix(m: Morphism, seed: str, n: int) -> FiniteWord:
     """First n letters of the fixed point of m starting from seed, for a
-    uniform morphism m, whose images all have one length r >= 2 (Thue–Morse,
-    Sierpinski). It is applied to letter indices in bytes: letter t of every
-    image is one `bytes.translate` of the word, written to every r-th
-    position from t."""
+    uniform morphism m over two letters, whose images all have one length
+    r >= 2 (Thue–Morse, Sierpinski). It is applied to letter indices in
+    bytes: letter t of every image is one `bytes.translate` of the word,
+    written to every r-th position from t."""
     if n < 1:
         raise ValueError("prefix length must be >= 1")
     rule = m.rules.get(seed)
@@ -181,10 +188,10 @@ def morphism_prefix(m: Morphism, seed: str, n: int) -> FiniteWord:
     if r < 2 or any(len(image) != r for image in m.rules.values()):
         raise ValueError("morphism is not uniform: its images need one length r >= 2")
     alphabet = m.alphabet
+    _check_alphabet(alphabet)
     index = {ch: i for i, ch in enumerate(alphabet)}
-    letters = bytes(range(len(alphabet)))
     tables = [
-        bytes.maketrans(letters, bytes(index[m.rules[ch][t]] for ch in alphabet))
+        bytes.maketrans(b"\0\1", bytes(index[m.rules[ch][t]] for ch in alphabet))
         for t in range(r)
     ]
     data = bytearray((index[seed],))

@@ -1,10 +1,13 @@
 """The package's public names load on first use, and `antipow.cli` reads
 them through the package's loader, so each command imports only the layers
-it calls. The big-integer commands (`construct`, `delta`) load no word
-layer, no command loads another's layer or `calculus`, and none loads
-numpy, which no module of the package imports. Each command loads its own
-handler module and no other command's, and none loads the per-order
-vocabulary of `orders`; `--help` loads no layer. No command imports
+it calls. Each command of `LOADED` runs twice, through in-process `main` and
+as `python -m antipow.cli`, each time in a fresh interpreter where `import
+numpy` fails, as no module of the package imports it. It must exit 0 having
+loaded exactly its own `antipow` modules: the big-integer commands
+(`construct`, `delta`) load no word layer, no command loads another's layer
+or `calculus`, each loads its own handler module and no other command's,
+none loads the per-order vocabulary of `orders`, and `--help` loads no
+layer. No command, nor `import antipow` or `import antipow.cli`, imports
 `dataclasses` or `inspect`, nor `argparse` (with `gettext` and `locale`) or
 `json`: the CLI parses argv from one command table and writes JSON with
 `instructions.json_text`. `python -m antipow.cli` and the `antipow` script
@@ -66,23 +69,24 @@ PUBLIC_NAMES = [
 ]
 
 
-def imported_by(code: str) -> set[str]:
-    """Run code in a fresh interpreter; every module it imported."""
-    script = f"{code}\nimport sys\nprint(*sys.modules)"
-    proc = subprocess.run(
-        [sys.executable, "-c", script], env=ENV, capture_output=True, text=True, check=True
-    )
-    return set(proc.stdout.splitlines()[-1].split())
-
-
-def modules_after(code: str) -> set[str]:
-    """Run code in a fresh interpreter; the antipow submodules and numpy it imported."""
-    return {m for m in imported_by(code) if m == "numpy" or m.startswith("antipow.")}
-
-
 # run first in a fresh interpreter, it makes every `import numpy` raise
 # ImportError, as where numpy is not installed
 NO_NUMPY = "import sys\nsys.modules['numpy'] = None\n"
+
+# standard modules that neither the package nor a command imports
+UNUSED = {"dataclasses", "inspect", "argparse", "gettext", "locale", "json"}
+
+
+def imported_by(code: str) -> set[str]:
+    """Run code in a fresh interpreter; every module it imported."""
+    script = f"{code}\nimport sys\nprint(*sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", script], env=ENV, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+def antipow_modules(modules: set[str]) -> set[str]:
+    return {m for m in modules if m.split(".")[0] == "antipow"}
 
 
 def entry_point(argv: list[str], at_exit: str, before: str = "") -> subprocess.CompletedProcess:
@@ -100,10 +104,11 @@ def entry_point(argv: list[str], at_exit: str, before: str = "") -> subprocess.C
     return subprocess.run([sys.executable, "-c", script], env=ENV, capture_output=True)
 
 
-def imported_by_entry_point(argv: list[str]) -> set[str]:
+def imported_by_entry_point(argv: list[str], before: str) -> set[str]:
     """Every module in `sys.modules` at the exit of `python -m antipow.cli
-    argv`, the layers loaded by `importlib.import_module` included."""
-    proc = entry_point(argv, "print(*sys.modules)")
+    argv` run after the code `before`, the layers loaded by
+    `importlib.import_module` included."""
+    proc = entry_point(argv, "print(*sys.modules)", before)
     assert proc.returncode == 0, proc.stderr
     return set(proc.stdout.decode().splitlines()[-1].split())
 
@@ -113,34 +118,22 @@ def main_code(argv: list[str]) -> str:
 
 
 @pytest.mark.parametrize(
-    "code",
+    "code, loaded",
     [
-        "import antipow",
-        "import antipow.cli",
-        "import antipow\nantipow.InstructionSequence.parse('(+)')",
-        main_code(DELTA),
-        main_code(CONSTRUCT),
-        main_code(GENERATE),
-        main_code(COMPLEXITY_THUE_MORSE),
-        main_code(COMPLEXITY_PAPERFOLDING),
-        main_code(COMPLEXITY_LENGTH_THUE_MORSE),
-        main_code(COMPLEXITY_FACTOR),
-        main_code(SCAN),
-        main_code(SCAN_PAPERFOLDING),
+        ("import antipow", set()),
+        ("import antipow.cli", {"cli", "instructions"}),
+        ("import antipow\nantipow.InstructionSequence.parse('(+)')", {"instructions"}),
     ],
-    ids=["import", "import cli", "instructions", "main delta", "main construct", "main generate",
-         "main complexity", "main complexity paperfolding", "main complexity thue-morse length",
-         "main complexity factor", "main scan", "main scan paperfolding"],
+    ids=["import", "import cli", "instructions"],
 )
-def test_numpy_is_imported_only_by_the_word_layers(code):
-    """No layer imports numpy, the word layers included: the imports and
-    commands run to the end where `import numpy` fails."""
-    proc = subprocess.run([sys.executable, "-c", NO_NUMPY + code], env=ENV, capture_output=True)
-    assert proc.returncode == 0, proc.stderr
+def test_imports_load_only_the_modules_they_name(code, loaded):
+    modules = imported_by(NO_NUMPY + code)
+    assert antipow_modules(modules) == {"antipow", *(f"antipow.{name}" for name in loaded)}
+    assert not modules & UNUSED
 
 
-# what each command loads besides `antipow` (or `antipow.cli`) and
-# `antipow.instructions`: its layers and its handler module, `cli_words`,
+# what each command loads besides `antipow`, `antipow.instructions` and, in
+# process, `antipow.cli`: its layers and its handler module, `cli_words`,
 # `cli_delta` or `cli_help`; `construct`'s handler is in `cli` itself. No
 # command loads another command's handler module or `orders`
 LOADED = [
@@ -148,83 +141,45 @@ LOADED = [
     (GENERATE_THUE_MORSE, {"words", "cli_words"}),
     (GENERATE_PAPERFOLDING, {"words", "cli_words"}),
     (COMPLEXITY, {"words", "abelian", "cli_words"}),
+    (COMPLEXITY_THUE_MORSE, {"words", "abelian", "cli_words"}),
     (COMPLEXITY_PREFIX, {"words", "abelian", "cli_words"}),
+    ([*COMPLEXITY_PREFIX, "--format", "json"], {"words", "abelian", "cli_words"}),
     (COMPLEXITY_PAPERFOLDING, {"words", "abelian", "cli_words"}),
     (COMPLEXITY_LENGTH_THUE_MORSE, {"words", "abelian", "cli_words"}),
     (COMPLEXITY_FACTOR, {"words", "abelian", "cli_words"}),
     (COMPLEXITY_FACTOR_THUE_MORSE, {"words", "abelian", "cli_words"}),
     (COMPLEXITY_FACTOR_PAPERFOLDING, {"words", "abelian", "cli_words"}),
     (SCAN, {"words", "scan", "cli_words"}),
+    ([*SCAN, "--format", "text"], {"words", "scan", "cli_words"}),
     (SCAN_AVOIDANCE, {"words", "scan", "cli_words"}),
     (SCAN_PAPERFOLDING, {"words", "scan", "cli_words"}),
     (CONSTRUCT, {"calculus"}),
     (DELTA, {"calculus", "cli_delta"}),
+    ([*DELTA, "--format", "json"], {"calculus", "cli_delta"}),
     (["--help"], {"cli_help"}),
     (["scan", "--help"], {"cli_help"}),
 ]
-LOADED_IDS = ["generate sierpinski", "generate thue-morse", "generate", "complexity",
-              "complexity prefix", "complexity paperfolding", "complexity thue-morse length",
-              "complexity factor", "complexity factor thue-morse", "complexity factor paperfolding",
-              "scan", "scan avoidance", "scan paperfolding", "construct", "delta", "help",
-              "scan help"]
+LOADED_IDS = ["generate", "generate thue-morse", "generate paperfolding", "complexity",
+              "complexity thue-morse", "complexity prefix", "complexity prefix json",
+              "complexity paperfolding", "complexity thue-morse length", "complexity factor",
+              "complexity factor thue-morse", "complexity factor paperfolding", "scan",
+              "scan text", "scan avoidance", "scan paperfolding", "construct", "delta",
+              "delta json", "help", "scan help"]
 
 
 @pytest.mark.parametrize("argv, layers", LOADED, ids=LOADED_IDS)
-def test_each_command_imports_only_the_layers_it_calls(argv, layers):
-    expected = {"antipow.cli", "antipow.instructions"}
-    expected |= {f"antipow.{name}" for name in layers}
-    assert modules_after(main_code(argv)) == expected
-
-
-@pytest.mark.parametrize("argv, layers", LOADED, ids=LOADED_IDS)
-def test_entry_point_imports_only_the_layers_each_command_calls(argv, layers):
-    """As `python -m antipow.cli`, which runs cli as `__main__`, so the
-    package never imports `antipow.cli` itself."""
-    expected = {"antipow", "antipow.instructions"}
-    expected |= {f"antipow.{name}" for name in layers}
-    modules = imported_by_entry_point(argv)
-    assert {m for m in modules if m == "numpy" or m.split(".")[0] == "antipow"} == expected
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        DELTA, CONSTRUCT, GENERATE, GENERATE_THUE_MORSE, GENERATE_PAPERFOLDING, COMPLEXITY,
-        COMPLEXITY_THUE_MORSE, COMPLEXITY_PAPERFOLDING, COMPLEXITY_PREFIX,
-        COMPLEXITY_LENGTH_THUE_MORSE, COMPLEXITY_FACTOR, COMPLEXITY_FACTOR_THUE_MORSE,
-        COMPLEXITY_FACTOR_PAPERFOLDING, SCAN, SCAN_PAPERFOLDING,
-    ],
-    ids=["delta", "construct", "generate", "generate thue-morse", "generate paperfolding",
-         "complexity", "complexity thue-morse", "complexity paperfolding", "complexity prefix",
-         "complexity thue-morse length", "complexity factor", "complexity factor thue-morse",
-         "complexity factor paperfolding", "scan", "scan paperfolding"],
-)
-def test_module_entry_point_imports_numpy_only_for_word_commands(argv):
-    """No command imports numpy, the word commands included: each runs to
-    the end through `python -m antipow.cli` where `import numpy` fails."""
-    proc = entry_point(argv, "None", NO_NUMPY)
-    assert proc.returncode == 0, proc.stderr
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        CONSTRUCT, DELTA, [*DELTA, "--format", "json"], GENERATE, SCAN, [*SCAN, "--format", "text"],
-        SCAN_AVOIDANCE, COMPLEXITY, COMPLEXITY_PREFIX, [*COMPLEXITY_PREFIX, "--format", "json"],
-        ["--help"], ["scan", "--help"],
-    ],
-    ids=["construct", "delta", "delta json", "generate", "scan", "scan text", "scan avoidance",
-         "complexity", "complexity prefix", "complexity prefix json", "help", "scan help"],
-)
 @pytest.mark.parametrize("form", ["main", "entry point"])
-def test_commands_import_no_dataclasses_and_json_only_to_print_it(argv, form):
-    """No command imports `dataclasses`, `inspect`, `argparse` (with `gettext` and
-    `locale`) or `json`, not even one that prints JSON."""
+def test_each_command_imports_only_the_layers_it_calls(form, argv, layers):
+    """`python -m antipow.cli` runs cli as `__main__`, so the package never
+    imports `antipow.cli` itself; in-process `main` does."""
+    expected = {"antipow", "antipow.instructions", *(f"antipow.{name}" for name in layers)}
     if form == "main":
-        modules = imported_by(main_code(argv))
+        modules = imported_by(NO_NUMPY + main_code(argv))
+        expected.add("antipow.cli")
     else:
-        modules = imported_by_entry_point(argv)
-    assert not modules & {"dataclasses", "inspect", "argparse", "gettext", "locale", "json"}
+        modules = imported_by_entry_point(argv, NO_NUMPY)
+    assert antipow_modules(modules) == expected
+    assert not modules & UNUSED
 
 
 def test_star_import_binds_the_public_names():

@@ -18,6 +18,7 @@ from antipow import (
     paperfolding_letter,
     sierpinski_prefix,
     toeplitz_paperfolding_prefix,
+    words,
 )
 
 REGULAR_32 = "00100110001101100010011100110110"
@@ -257,14 +258,28 @@ def test_finite_word_validation():
         FiniteWord(("a", "b"), b"\x00\x02")
     with pytest.raises(ValueError):
         FiniteWord((), b"")
-    # only words over two letters
-    for alphabet in (("a",), ("a", "b", "c"), ("a", "bc")):
+    # only words over two ASCII letters, which `str` encodes
+    for alphabet in (("a",), ("a", "b", "c"), ("a", "bc"), ("α", "β"), ("a", "β")):
         with pytest.raises(ValueError, match="two distinct single characters"):
             FiniteWord(alphabet, b"\x00")
     with pytest.raises(ValueError, match="two distinct single characters"):
         FiniteWord.from_text("aaaa", ("a",))
     with pytest.raises(ValueError, match="two distinct single characters"):
         morphism_prefix(Morphism({"a": "ab", "b": "bc", "c": "ca"}), "a", 4)
+
+
+@pytest.mark.parametrize(
+    "rules", [{"a": "ab", "b": "bc", "c": "ca"}, {"α": "αβ", "β": "βα"}],
+    ids=["three letters", "not ascii"],
+)
+def test_morphism_prefix_refuses_the_alphabet_before_it_generates(monkeypatch, rules):
+    # the prefix is refused before any word is built, not by the word
+    def no_word(*args):
+        raise AssertionError("morphism_prefix built a word")
+
+    monkeypatch.setattr(words, "FiniteWord", no_word)
+    with pytest.raises(ValueError, match="two distinct single characters"):
+        morphism_prefix(Morphism(rules), next(iter(rules)), 2**10)
 
 
 @pytest.mark.parametrize("method", ["abelian_keys"])
