@@ -159,7 +159,7 @@ LOADED = [
     (["--help"], {"cli_help"}),
     (["scan", "--help"], {"cli_help"}),
 ]
-LOADED_IDS = ["generate", "generate thue-morse", "generate paperfolding", "complexity",
+LOADED_IDS = ["generate sierpinski", "generate thue-morse", "generate", "complexity",
               "complexity thue-morse", "complexity prefix", "complexity prefix json",
               "complexity paperfolding", "complexity thue-morse length", "complexity factor",
               "complexity factor thue-morse", "complexity factor paperfolding", "scan",
@@ -167,19 +167,24 @@ LOADED_IDS = ["generate", "generate thue-morse", "generate paperfolding", "compl
               "delta json", "help", "scan help"]
 
 
-@pytest.mark.parametrize("argv, layers", LOADED, ids=LOADED_IDS)
-@pytest.mark.parametrize("form", ["main", "entry point"])
-def test_each_command_imports_only_the_layers_it_calls(form, argv, layers):
-    """`python -m antipow.cli` runs cli as `__main__`, so the package never
-    imports `antipow.cli` itself; in-process `main` does."""
-    expected = {"antipow", "antipow.instructions", *(f"antipow.{name}" for name in layers)}
-    if form == "main":
-        modules = imported_by(NO_NUMPY + main_code(argv))
-        expected.add("antipow.cli")
-    else:
-        modules = imported_by_entry_point(argv, NO_NUMPY)
-    assert antipow_modules(modules) == expected
+def check_loaded(modules: set[str], layers: set[str], *extra: str) -> None:
+    """The `antipow` modules are exactly `antipow`, `antipow.instructions`,
+    the command's layers and `extra`, and none of `UNUSED` is loaded."""
+    expected = {"antipow", "antipow.instructions", *extra}
+    assert antipow_modules(modules) == expected | {f"antipow.{name}" for name in layers}
     assert not modules & UNUSED
+
+
+@pytest.mark.parametrize("argv, layers", LOADED, ids=LOADED_IDS)
+def test_each_command_imports_only_the_layers_it_calls(argv, layers):
+    check_loaded(imported_by(NO_NUMPY + main_code(argv)), layers, "antipow.cli")
+
+
+@pytest.mark.parametrize("argv, layers", LOADED, ids=LOADED_IDS)
+def test_entry_point_imports_only_the_layers_each_command_calls(argv, layers):
+    """As `python -m antipow.cli`, which runs cli as `__main__`, so the
+    package never imports `antipow.cli` itself."""
+    check_loaded(imported_by_entry_point(argv, NO_NUMPY), layers)
 
 
 def test_star_import_binds_the_public_names():
